@@ -1,13 +1,15 @@
-"""repro.batch -- process-pool batch verification.
+"""repro.batch -- batch verification over a persistent worker pool.
 
 The paper's workflow checks one assertion at a time in FDR; real audits
 discharge dozens (every Table III requirement, every extracted ECU model
 against every specification).  This package fans a list of
-:class:`CheckSpec` values over isolated worker processes:
+:class:`CheckSpec` values over up to *jobs* persistent worker processes,
+scheduled by the same :class:`~repro.server.core.VerificationServer` core
+the ``cspserve`` daemon runs:
 
-* **Crash isolation** -- each job gets its own worker, so a crashing,
-  looping, or exiting check fails *its* job (``ERROR``/``TIMEOUT``) while
-  the rest of the batch completes.
+* **Crash isolation** -- a crashing, looping, or exiting check fails
+  *its* job (``ERROR``/``TIMEOUT``); its worker is respawned and the rest
+  of the batch completes.  Identical checks coalesce onto one execution.
 * **Determinism** -- results come back in input order and each job runs in
   a fresh pipeline; a parallel run's canonical results are byte-identical
   to the sequential reference (:func:`execute_spec`), which the

@@ -1,4 +1,4 @@
-"""``cspbatch`` -- batch-verify a manifest of checks over worker processes.
+"""``cspbatch`` -- batch-verify a manifest of checks on persistent workers.
 
 Usage::
 
@@ -56,8 +56,9 @@ from .spec import CheckSpec, ManifestError, PASS, load_manifest
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cspbatch",
-        description="Batch-verify a manifest of CSP checks over worker "
-        "processes, with per-job crash isolation and timeouts.",
+        description="Batch-verify a manifest of CSP checks on a pool of "
+        "persistent worker processes, with per-job crash isolation and "
+        "timeouts (a crashed or timed-out worker is respawned).",
     )
     parser.add_argument(
         "manifest",
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="max concurrent worker processes (default: 1); "
+        help="persistent worker processes (default: 1); "
         "0 runs the batch inline in this process",
     )
     parser.add_argument(

@@ -1,25 +1,26 @@
-"""The batch executor: fan a spec list over worker processes.
+"""The batch executor: fan a spec list over persistent worker processes.
 
-Each job runs in its **own** :mod:`multiprocessing` worker process with a
-dedicated pipe -- not in a shared pool -- because the failure modes the
-batch must survive are exactly the ones that kill pools: a worker that
-segfaults (or ``os._exit``\\ s) takes down only its own job, and a job past
-its deadline is terminated without poisoning the processes running its
-siblings.  At most *jobs* workers run concurrently; the scheduler launches
-from a pending queue as slots free up, multiplexing completions with
-:func:`multiprocessing.connection.wait`.
+A pooled batch runs on a private, in-process
+:class:`~repro.server.core.VerificationServer` -- the same scheduler the
+``cspserve`` daemon uses -- with up to *jobs* warm workers.  The failure
+modes a batch must survive are the server's: a worker that segfaults (or
+``os._exit``\\ s) fails only the check it was running, and a check past
+its deadline is terminated; either way the worker is respawned and the
+rest of the batch carries on.  Identical checks (the same spec under
+different ids) coalesce onto one execution, each result keeping its own
+``id``/``index``.
 
 Determinism: results are keyed by the spec's position in the input list and
-reported in that order regardless of completion order, and each worker
-verifies its spec in a fresh pipeline (own environment, alphabet table,
-in-memory cache), so nothing about scheduling can leak into a verdict.
-Execution itself lives in :mod:`repro.exec` -- this module only schedules:
+reported in that order regardless of completion order, and each check runs
+in a fresh pipeline (own environment, alphabet table, in-memory cache), so
+nothing about scheduling can leak into a verdict.  Execution itself lives
+in :mod:`repro.exec` -- this module only schedules:
 :func:`~repro.exec.runtime.execute_spec` is the sequential reference the
 pool is held to, and two caches accelerate workers without coupling them.
 The LTS disk cache (:mod:`repro.engine.diskcache`) makes a warm compile
 reproduce the cold compile's automaton exactly; the result cache
-(:mod:`repro.exec.resultcache`) memoises whole verdicts -- the parent
-probes it before forking (a hit never costs a process) and workers
+(:mod:`repro.exec.resultcache`) memoises whole verdicts -- the server
+probes it at submission (a hit never costs a worker request) and workers
 promote fresh outcomes write-through.
 
 Verdict taxonomy per job:
@@ -35,26 +36,24 @@ Verdict taxonomy per job:
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
+import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 # the execution core moved to repro.exec; re-exported because this module
 # defined it first and every mode's callers import it from here
 from ..exec.runtime import execute_cached, execute_spec, open_result_cache
-from ..exec.workers import failure_result, oneshot_worker_main
-from ..obs.profile import Profile, merge_profiles, profile_of
+from ..exec.resultcache import ResultCache
+from ..exec.workers import failure_result
+from ..obs.profile import Profile, merge_profiles
 from ..obs.trace import Tracer, ensure_tracer
-from .spec import (
-    CANCELLED,
-    CheckSpec,
-    ERROR,
-    JobResult,
-    PASS,
-    TIMEOUT,
-)
+from ..server.core import Ticket, VerificationServer
+from ..server.protocol import Rejection
+from .spec import CANCELLED, CheckSpec, ERROR, JobResult, PASS
+
+#: how often a pooled batch re-checks its cancel event (seconds)
+_CANCEL_POLL = 0.1
 
 
 class BatchReport:
@@ -107,19 +106,6 @@ class BatchReport:
         return "BatchReport({})".format(self.summary())
 
 
-class _Running:
-    """One in-flight worker: its process, pipe end, and deadline."""
-
-    __slots__ = ("index", "spec", "process", "conn", "deadline")
-
-    def __init__(self, index, spec, process, conn, deadline):
-        self.index = index
-        self.spec = spec
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-
-
 def run_batch(
     specs: Sequence[CheckSpec],
     *,
@@ -135,16 +121,15 @@ def run_batch(
 ) -> BatchReport:
     """Verify every spec; return results in input order.
 
-    *jobs* bounds concurrent worker processes.  *timeout* is per job (wall
-    seconds); *batch_timeout* bounds the whole run -- jobs still pending
-    when it expires come back ``CANCELLED``, jobs already running are
-    terminated to ``CANCELLED`` too.  *cancel* is an external kill switch
-    checked between scheduler steps.  ``inline=True`` (or ``jobs <= 0``)
-    runs everything sequentially in this process -- no forks, same results.
-    *result_cache_dir* enables verdict memoisation: the parent answers
-    memoised specs without forking and workers promote fresh ``PASS`` /
-    ``FAIL`` outcomes write-through; canonical result bytes are identical
-    either way.
+    *jobs* bounds the persistent worker processes.  *timeout* is per job
+    (wall seconds); *batch_timeout* bounds the whole run -- jobs still
+    unfinished when it expires come back ``CANCELLED``.  *cancel* is an
+    external kill switch with the same effect.  ``inline=True`` (or
+    ``jobs <= 0``) runs everything sequentially in this process -- no
+    workers, same results.  *result_cache_dir* enables verdict memoisation:
+    memoised specs are answered without a worker and fresh ``PASS`` /
+    ``FAIL`` outcomes are promoted write-through; canonical result bytes
+    are identical either way.
     """
     tracer = ensure_tracer(obs)
     want_profile = profile or tracer.enabled
@@ -152,9 +137,9 @@ def run_batch(
     batch_deadline = (
         None if batch_timeout is None else started + batch_timeout
     )
-    result_cache = open_result_cache(result_cache_dir)
-    with tracer.span("batch", jobs=jobs, specs=len(specs)) as root:
+    with tracer.span("batch", jobs=jobs, specs=len(specs)):
         if inline or jobs <= 0:
+            result_cache = open_result_cache(result_cache_dir)
             results = _run_inline(
                 specs,
                 cache_dir,
@@ -165,17 +150,19 @@ def run_batch(
                 tracer,
             )
         else:
-            results = _run_pooled(
+            # the server asks its workers for profiles iff its tracer is on
+            server_obs = tracer if tracer.enabled else None
+            if profile and server_obs is None:
+                server_obs = Tracer()
+            results, result_cache = _run_pooled(
                 specs,
                 jobs,
                 timeout,
                 batch_deadline,
                 cache_dir,
-                want_profile,
-                cancel,
-                result_cache,
                 result_cache_dir,
-                tracer,
+                server_obs,
+                cancel,
             )
         metrics = tracer.metrics
         if tracer.enabled:
@@ -249,135 +236,64 @@ def _run_pooled(
     timeout: Optional[float],
     batch_deadline: Optional[float],
     cache_dir: Optional[str],
-    want_profile: bool,
-    cancel: Optional[threading.Event],
-    result_cache,
     result_cache_dir: Optional[str],
-    tracer: Tracer,
-) -> List[JobResult]:
-    context = multiprocessing.get_context()
-    metrics = tracer.metrics if tracer.enabled else None
-    results: Dict[int, JobResult] = {}
-    pending = list(enumerate(specs))
-    pending.reverse()  # pop() from the tail = input order
-    running: List[_Running] = []
-
-    def launch(index: int, spec: CheckSpec) -> bool:
-        """Start a worker for this spec; False when a cache hit answered it."""
-        if result_cache is not None:
-            hit = result_cache.get(spec.to_doc(), index)
-            if hit is not None:
-                if metrics is not None:
-                    metrics.counter("result_cache.hits").inc()
-                results[index] = hit
-                return False
-            if metrics is not None:
-                metrics.counter("result_cache.misses").inc()
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=oneshot_worker_main,
-            args=(
-                child_conn,
-                spec.to_doc(),
-                index,
-                cache_dir,
-                want_profile,
-                result_cache_dir,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # parent keeps only the read end
-        deadline = (
-            None if timeout is None else time.perf_counter() + timeout
-        )
-        running.append(_Running(index, spec, process, parent_conn, deadline))
-        return True
-
-    def reap(slot: _Running, verdict: str, error: str) -> None:
-        if slot.process.is_alive():
-            slot.process.terminate()
-        slot.process.join()
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
-        running.remove(slot)
-        results[slot.index] = JobResult(
-            slot.index,
-            slot.spec.check_id,
-            verdict,
-            name=slot.spec.name,
-            error=error,
-        )
-
+    obs: Optional[Tracer],
+    cancel: Optional[threading.Event],
+) -> Tuple[List[JobResult], Optional[ResultCache]]:
+    if not specs:
+        return [], open_result_cache(result_cache_dir)
+    server = VerificationServer(
+        workers=min(jobs, len(specs)),
+        queue_limit=len(specs),
+        cache_dir=cache_dir,
+        result_cache_dir=result_cache_dir,
+        default_timeout=timeout,
+        # the request cap guards a daemon's socket; a batch is local input
+        max_request_bytes=sys.maxsize,
+        obs=obs,
+    ).start()
     try:
-        while pending or running:
-            now = time.perf_counter()
-            batch_expired = batch_deadline is not None and now >= batch_deadline
-            cancelled = (cancel is not None and cancel.is_set()) or batch_expired
-            if cancelled:
-                for slot in list(running):
-                    reap(slot, CANCELLED, "batch cancelled")
-                while pending:
-                    index, spec = pending.pop()
-                    results[index] = _cancelled_result(index, spec)
-                break
-
-            while pending and len(running) < jobs:
-                index, spec = pending.pop()
-                launch(index, spec)
-
-            # wake on the earliest event: a completion, a per-job deadline,
-            # the batch deadline, or a periodic cancellation poll
-            wait_until = now + 0.1
-            for slot in running:
-                if slot.deadline is not None:
-                    wait_until = min(wait_until, slot.deadline)
-            if batch_deadline is not None:
-                wait_until = min(wait_until, batch_deadline)
-            ready = multiprocessing.connection.wait(
-                [slot.conn for slot in running],
-                timeout=max(0.0, wait_until - time.perf_counter()),
-            )
-
-            for slot in list(running):
-                if slot.conn in ready:
-                    try:
-                        doc = slot.conn.recv()
-                    except (EOFError, OSError):
-                        # pipe closed with no payload: the worker died
-                        # before reporting (crash, os._exit, signal)
-                        slot.process.join()
-                        reap(
-                            slot,
-                            ERROR,
-                            "worker exited with code {}".format(
-                                slot.process.exitcode
-                            ),
-                        )
-                        continue
-                    slot.process.join()
-                    try:
-                        slot.conn.close()
-                    except OSError:
-                        pass
-                    running.remove(slot)
-                    results[slot.index] = JobResult.from_doc(doc)
-                elif (
-                    slot.deadline is not None
-                    and time.perf_counter() >= slot.deadline
-                ):
-                    reap(
-                        slot,
-                        TIMEOUT,
-                        "job exceeded {:.1f}s timeout".format(timeout),
+        slots: List[Union[Ticket, JobResult]] = []
+        for index, spec in enumerate(specs):
+            try:
+                slots.append(server.submit(spec.to_doc(), index=index, block=True))
+            except Rejection as rejection:
+                slots.append(
+                    failure_result(
+                        ERROR,
+                        rejection.message,
+                        index=index,
+                        check_id=spec.check_id,
+                        name=spec.name,
                     )
-    except BaseException:
-        # interrupted (e.g. KeyboardInterrupt): never strand workers
-        for slot in running:
-            if slot.process.is_alive():
-                slot.process.terminate()
-            slot.process.join()
-        raise
-    return [results[index] for index in range(len(specs))]
+                )
+        results: List[JobResult] = []
+        for index, (spec, slot) in enumerate(zip(specs, slots)):
+            if isinstance(slot, JobResult):
+                results.append(slot)
+            elif _await(slot, cancel, batch_deadline):
+                results.append(slot.result())
+            else:
+                results.append(_cancelled_result(index, spec))
+    finally:
+        server.close(drain=False)
+    return results, server.result_cache
+
+
+def _await(
+    ticket: Ticket,
+    cancel: Optional[threading.Event],
+    batch_deadline: Optional[float],
+) -> bool:
+    """Wait for *ticket*; False when the batch is cancelled or expires first."""
+    while not ticket.done:
+        now = time.perf_counter()
+        if (cancel is not None and cancel.is_set()) or (
+            batch_deadline is not None and now >= batch_deadline
+        ):
+            return False
+        wait_for = _CANCEL_POLL
+        if batch_deadline is not None:
+            wait_for = min(wait_for, batch_deadline - now)
+        ticket.wait(wait_for)
+    return True

@@ -1,7 +1,7 @@
 """repro.exec -- the unified execution runtime.
 
 Before this package existed, the three ways of running a check -- the
-inline :mod:`repro.api` pipeline, the :mod:`repro.batch` process pool and
+inline :mod:`repro.api` pipeline, the :mod:`repro.batch` worker pool and
 the :mod:`repro.server` daemon -- each carried their own copy of the
 submit → execute → cache → result plumbing, and a *completed* check was
 thrown away the moment its requester was answered.  ``repro.exec`` is the
@@ -20,9 +20,9 @@ one layer all three now route through:
   the sequential reference semantics every mode is held to, and
   :func:`execute_cached` is the memoised flavour layered on a
   :class:`ResultCache`.
-* :mod:`repro.exec.workers` owns the process boundary: the one-shot batch
-  worker, the server's persistent warm worker, and the shared
-  failure-verdict constructors (worker death → ``ERROR``, deadline →
+* :mod:`repro.exec.workers` owns the process boundary: the persistent
+  warm worker the server scheduler drives (for ``cspserve`` and pooled
+  ``cspbatch`` runs alike), and the shared failure-verdict constructors (worker death → ``ERROR``, deadline →
   ``TIMEOUT``, cancellation → ``CANCELLED``).
 
 Soundness before availability, exactly like the LTS
@@ -56,7 +56,6 @@ _LAZY = {
     "open_result_cache": "runtime",
     "resolve_result_cache_dir": "runtime",
     "failure_result": "workers",
-    "oneshot_worker_main": "workers",
     "persistent_worker_main": "workers",
 }
 
@@ -85,7 +84,6 @@ __all__ = [
     "execute_spec",
     "failure_result",
     "lts_key_digest",
-    "oneshot_worker_main",
     "open_result_cache",
     "persistent_worker_main",
     "resolve_result_cache_dir",

@@ -2,8 +2,8 @@
 
 :func:`execute_spec` is the **sequential reference semantics**.  It used to
 live in :mod:`repro.batch.executor`; it moved here because it was never
-batch-specific -- the server's warm workers, the batch pool's one-shot
-workers and the inline path all call exactly this function, and the
+batch-specific -- the persistent workers (which serve both the daemon and
+pooled batches) and the inline path all call exactly this function, and the
 conformance corpus holds all of them to its byte-identical canonical
 output.
 
@@ -177,7 +177,7 @@ def execute_cached(
     near zero and ``worker_pid`` this process -- both outside the canonical
     surface), and a fresh execution is promoted write-through so the next
     identical request in any mode hits.  *spec_doc* lets callers that
-    already hold the wire document (the server, the pool parent) skip
+    already hold the wire document (the server's workers) skip
     re-encoding; it must round-trip to *spec*.
     """
     if result_cache is None:

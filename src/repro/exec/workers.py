@@ -1,25 +1,20 @@
-"""The process boundary: worker entry points and failure verdicts.
+"""The process boundary: the worker entry point and failure verdicts.
 
-Two worker shapes exist in the system and both live here:
+:func:`persistent_worker_main` is the one worker shape in the system: a
+warm loop over ``(spec document, profile?)`` requests on a duplex pipe, so
+the interpreter, the imported toolchain and both cache directories stay
+hot across requests.  ``None`` is the shutdown sentinel.  The
+:class:`~repro.server.core.VerificationServer` scheduler drives it, for
+the ``cspserve`` daemon and for every pooled ``cspbatch`` run alike.
 
-:func:`oneshot_worker_main`
-    The batch pool's unit of crash isolation -- one process, one spec, one
-    result document, exit.  A worker that segfaults or ``os._exit``\\ s takes
-    down only its own job.
-:func:`persistent_worker_main`
-    The server's warm worker -- a loop over ``(spec document, profile?)``
-    requests on a duplex pipe, so the interpreter, the imported toolchain
-    and both cache directories stay hot across requests.  ``None`` is the
-    shutdown sentinel.
-
-Both are top-level functions (not closures) so they work under the
-``spawn`` start method as well as ``fork``, and both speak JSON spec
+It is a top-level function (not a closure) so it works under the
+``spawn`` start method as well as ``fork``, and it speaks JSON spec
 documents across the pipe -- the same schema as the ``cspbatch`` manifest
 -- so workers never unpickle code.
 
-Both take an optional result-cache directory and run requests through
-:func:`~repro.exec.runtime.execute_cached`: the parent probes the store
-before dispatching (a hit never costs a fork or a queue slot), and the
+It takes an optional result-cache directory and runs requests through
+:func:`~repro.exec.runtime.execute_cached`: the server probes the store at
+submission (a hit never costs a worker request or a queue slot), and the
 worker probes again around execution -- catching entries another worker
 promoted meanwhile -- then writes its own verdict through.
 
@@ -32,8 +27,7 @@ environment, not the check.
 
 from __future__ import annotations
 
-import traceback
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from ..batch.spec import CheckSpec, ERROR, JobResult, ManifestError
 from .runtime import execute_cached, open_result_cache
@@ -49,47 +43,6 @@ def failure_result(
 ) -> JobResult:
     """A process-boundary verdict (``ERROR``/``TIMEOUT``/``CANCELLED``)."""
     return JobResult(index, check_id, verdict, name=name, error=error)
-
-
-def oneshot_worker_main(
-    conn,
-    spec_doc: Dict[str, Any],
-    index: int,
-    cache_dir: Optional[str],
-    want_profile: bool,
-    result_cache_dir: Optional[str] = None,
-) -> None:
-    """Entry point of one batch worker process: run one spec, send one doc."""
-    try:
-        spec = CheckSpec.from_doc(spec_doc)
-        result = execute_cached(
-            spec,
-            index,
-            cache_dir=cache_dir,
-            profile=want_profile,
-            result_cache=open_result_cache(result_cache_dir),
-            spec_doc=spec_doc,
-        )
-        conn.send(result.to_doc())
-    except BaseException:
-        # last-resort: report rather than die silently (a swallowed worker
-        # death would surface as a generic exit-code ERROR upstream)
-        try:
-            conn.send(
-                failure_result(
-                    ERROR,
-                    traceback.format_exc(limit=3),
-                    index=index,
-                    check_id=spec_doc.get("id"),
-                ).to_doc()
-            )
-        except OSError:
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
 
 
 def persistent_worker_main(

@@ -130,9 +130,27 @@ class Profile:
 
 
 def _subtree(spans: Sequence[Span], root: Span) -> List[Span]:
-    """*root* plus every transitive child, from a flat span list."""
+    """*root* plus every transitive child, from a flat span list.
+
+    A :class:`Tracer` appends each span when it opens, and a span opened
+    while *root* is open is its descendant, so the subtree is the run of
+    spans starting at *root* whose parents lie in it: the walk costs the
+    subtree's size, not the tracer's.  The children are then gathered in
+    the same depth-first order as a scan of the whole list would give, so
+    profiles sum their floats in the same order.
+    """
+    start = root.span_id - 1  # a tracer numbers spans from 1 as it appends
+    if not (0 <= start < len(spans) and spans[start] is root):
+        block: Sequence[Span] = spans  # recorded elsewhere: scan everything
+    else:
+        members = {root.span_id}
+        end = start + 1
+        while end < len(spans) and spans[end].parent_id in members:
+            members.add(spans[end].span_id)
+            end += 1
+        block = spans[start:end]
     children: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
+    for span in block:
         children.setdefault(span.parent_id, []).append(span)
     collected: List[Span] = []
     stack = [root]

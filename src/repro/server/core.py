@@ -1,11 +1,13 @@
 """The verification server core: a job queue over persistent warm workers.
 
-Where :mod:`repro.batch` forks one process per job and lets it die, the
-server keeps a fixed pool of **warm** worker processes alive across
+The server keeps a fixed pool of **warm** worker processes alive across
 requests: the interpreter, the imported toolchain and the shared
 :class:`~repro.engine.diskcache.DiskCache` directory all persist, so only
 the first request for a given model pays compilation and nobody pays
-import cost twice.  Everything a worker is asked to do is still a
+import cost twice.  It is the one scheduler in the system: the
+``cspserve`` daemon runs it for its lifetime, and every pooled
+:func:`~repro.batch.executor.run_batch` (``cspbatch --jobs N``) runs a
+private instance for the length of one batch.  Everything a worker is asked to do is still a
 :class:`~repro.batch.spec.CheckSpec` document run through
 :func:`~repro.exec.runtime.execute_spec` -- the sequential reference
 semantics -- so a daemon-served verdict is byte-identical (canonically) to

@@ -132,11 +132,60 @@ class TestRunBatchPooled:
     def test_workers_really_are_separate_processes(self):
         import os
 
-        specs = [CheckSpec.selftest("sleep:0.05", check_id=str(i)) for i in range(2)]
+        # two distinct checks: identical ones would coalesce onto one worker
+        specs = [
+            CheckSpec.selftest("sleep:0.05", check_id="0"),
+            CheckSpec.selftest("sleep:0.06", check_id="1"),
+        ]
         report = run_batch(specs, jobs=2, timeout=30)
         pids = {r.worker_pid for r in report.results}
         assert os.getpid() not in pids
         assert len(pids) == 2
+
+    def test_jobs_bound_the_persistent_workers(self):
+        import os
+
+        specs = [
+            CheckSpec.selftest("sleep:0.0{}".format(i), check_id=str(i))
+            for i in range(1, 7)
+        ]
+        report = run_batch(specs, jobs=2, timeout=30)
+        assert all(r.verdict == "PASS" for r in report.results)
+        pids = {r.worker_pid for r in report.results}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_identical_checks_coalesce_onto_one_execution(self):
+        # the sleep keeps the first execution in flight while the second
+        # identical check is submitted
+        specs = [
+            CheckSpec.selftest("sleep:0.2", check_id="first"),
+            CheckSpec.selftest("sleep:0.2", check_id="second"),
+        ]
+        pooled = run_batch(specs, jobs=2, timeout=120)
+        inline = run_batch(specs, inline=True)
+        assert [(r.check_id, r.index) for r in pooled.results] == [
+            ("first", 0),
+            ("second", 1),
+        ]
+        # one execution answered both: same worker, same run-varying fields
+        first, second = pooled.results
+        assert first.worker_pid == second.worker_pid
+        assert first.duration_ms == second.duration_ms
+        assert canonical(pooled) == canonical(inline)
+
+    def test_undecodable_spec_fails_alone(self):
+        # a programmatic spec the wire format cannot carry (no 'req')
+        specs = [
+            CheckSpec("requirement", check_id="no-req"),
+            CheckSpec.selftest("pass", check_id="ok"),
+        ]
+        report = run_batch(specs, jobs=2, timeout=30)
+        assert [(r.check_id, r.verdict) for r in report.results] == [
+            ("no-req", "ERROR"),
+            ("ok", "PASS"),
+        ]
+        assert "missing 'req'" in report.results[0].error
 
     def test_profiles_merge_across_workers(self):
         specs = mixed_specs()[:3]

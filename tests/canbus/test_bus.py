@@ -10,6 +10,7 @@ from repro.canbus import (
     Scheduler,
     ScriptedNode,
 )
+from repro.quickcheck import Discard, for_all, integers, lists
 
 
 def make_bus(bitrate=500_000):
@@ -205,15 +206,13 @@ class TestTraceLog:
 
 
 class TestArbitrationProperty:
-    def test_priority_order_property(self):
+    def test_priority_order_property(self, repro_seed):
         """Whatever frames queue while the bus is busy, they complete in
         (identifier, FIFO) order -- CAN's defining arbitration rule."""
-        import hypothesis.strategies as st
-        from hypothesis import given, settings
 
-        @settings(max_examples=50, deadline=None)
-        @given(ids=st.lists(st.integers(0, 0x7FF), min_size=1, max_size=8))
-        def run(ids):
+        def check(ids):
+            if not ids:
+                raise Discard("shrunk below one frame")
             bus, _ = make_bus()
             sender = Recorder("S", bus)
             Recorder("R", bus)
@@ -226,4 +225,10 @@ class TestArbitrationProperty:
             expected = [ids[0]] + sorted(ids[1:])
             assert observed == expected
 
-        run()
+        for_all(
+            lists(integers(0, 0x7FF), min_size=1, max_size=8),
+            check,
+            seed=repro_seed,
+            name="can-priority-order",
+            cases=50,
+        )

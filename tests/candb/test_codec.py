@@ -1,8 +1,6 @@
 """Unit and property tests for the signal codec (pack/unpack)."""
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from repro.candb import (
     Message,
@@ -12,6 +10,7 @@ from repro.candb import (
     encode_message,
     encode_raw,
 )
+from repro.quickcheck import Discard, Gen, for_all, integers, sampled_from, tuples
 
 
 def little(start, length, signed=False, factor=1.0, offset=0.0):
@@ -134,46 +133,66 @@ class TestMessageCodec:
             encode_message(message, {"wide": 1000})
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    start_byte=st.integers(0, 6),
-    length=st.integers(1, 16),
-    order=st.sampled_from(["little", "big"]),
-    data=st.data(),
+#: (start byte, length, byte order, raw value that fits in length bits)
+ROUNDTRIP_CASES = tuples(
+    integers(0, 6), integers(1, 16), sampled_from(["little", "big"])
+).bind(
+    lambda head: tuples(*map(Gen.constant, head), integers(0, (1 << head[1]) - 1))
 )
-def test_property_roundtrip(start_byte, length, order, data):
+
+
+def test_property_roundtrip(repro_seed):
     """encode then decode returns the original raw value, both byte orders."""
-    if order == "little":
-        start_bit = start_byte * 8
-    else:
-        start_bit = start_byte * 8 + 7  # MSB of the byte
-    signal = Signal("s", start_bit, length, order)
-    raw = data.draw(st.integers(0, (1 << length) - 1))
-    payload = bytearray(8)
-    encode_raw(signal, raw, payload)
-    assert decode_raw(signal, bytes(payload)) == raw
+
+    def check(case):
+        start_byte, length, order, raw = case
+        if length < 1 or not 0 <= raw < 1 << length:
+            raise Discard("shrunk out of the signal's range")
+        if order == "little":
+            start_bit = start_byte * 8
+        else:
+            start_bit = start_byte * 8 + 7  # MSB of the byte
+        signal = Signal("s", start_bit, length, order)
+        payload = bytearray(8)
+        encode_raw(signal, raw, payload)
+        assert decode_raw(signal, bytes(payload)) == raw
+
+    for_all(ROUNDTRIP_CASES, check, seed=repro_seed, name="codec-roundtrip", cases=200)
 
 
-@settings(max_examples=100, deadline=None)
-@given(raw=st.integers(-128, 127))
-def test_property_signed_roundtrip(raw):
-    signal = Signal("s", 0, 8, "little", signed=True)
-    payload = bytearray(1)
-    encode_raw(signal, raw, payload)
-    assert decode_raw(signal, bytes(payload)) == raw
+def test_property_signed_roundtrip(repro_seed):
+    def check(raw):
+        signal = Signal("s", 0, 8, "little", signed=True)
+        payload = bytearray(1)
+        encode_raw(signal, raw, payload)
+        assert decode_raw(signal, bytes(payload)) == raw
+
+    for_all(
+        integers(-128, 127),
+        check,
+        seed=repro_seed,
+        name="codec-signed-roundtrip",
+        cases=100,
+    )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    a=st.integers(0, 15),
-    b=st.integers(0, 15),
-)
-def test_property_disjoint_fields_independent(a, b):
+def test_property_disjoint_fields_independent(repro_seed):
     """Two non-overlapping fields encode without interference."""
-    low = Signal("low", 0, 4, "little")
-    high = Signal("high", 4, 4, "little")
-    payload = bytearray(1)
-    encode_raw(low, a, payload)
-    encode_raw(high, b, payload)
-    assert decode_raw(low, bytes(payload)) == a
-    assert decode_raw(high, bytes(payload)) == b
+
+    def check(pair):
+        a, b = pair
+        low = Signal("low", 0, 4, "little")
+        high = Signal("high", 4, 4, "little")
+        payload = bytearray(1)
+        encode_raw(low, a, payload)
+        encode_raw(high, b, payload)
+        assert decode_raw(low, bytes(payload)) == a
+        assert decode_raw(high, bytes(payload)) == b
+
+    for_all(
+        tuples(integers(0, 15), integers(0, 15)),
+        check,
+        seed=repro_seed,
+        name="codec-disjoint-fields",
+        cases=100,
+    )

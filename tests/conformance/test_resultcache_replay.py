@@ -58,8 +58,8 @@ def test_pooled_replay_cold_then_warm_is_byte_identical(tmp_path):
     warm = run_batch(specs, jobs=2, timeout=120, result_cache_dir=cache_dir)
     _assert_golden(cold.results, expectations)
     _assert_golden(warm.results, expectations)
-    # workers write through; the warm parent answers eligible cases
-    # without forking a process for them
+    # workers write through; the warm run answers eligible cases at
+    # submission, without a worker request
     assert warm.result_cache_stats["result_hits"] == _eligible(
         specs, expectations
     )

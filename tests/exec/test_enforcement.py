@@ -1,6 +1,7 @@
 """The refactor's contract, enforced: batch and server no longer carry
 their own spec-execution or key-computation code -- both import it from
-:mod:`repro.exec`.  These tests are the tripwire against the copies
+:mod:`repro.exec` -- and there is one worker model, the server's
+persistent workers.  These tests are the tripwire against the copies
 quietly growing back."""
 
 import repro.batch.executor as batch_executor
@@ -25,6 +26,17 @@ def test_server_core_owns_no_worker_main():
     assert not hasattr(server_core, "_server_worker_main")
     assert server_core.persistent_worker_main is workers.persistent_worker_main
     assert server_core.failure_result is workers.failure_result
+
+
+def test_one_worker_model():
+    # pooled batches run on the server's persistent workers; a fork-per-job
+    # scheduler growing back next to it would trip these
+    import repro.exec as exec_pkg
+
+    assert not hasattr(workers, "oneshot_worker_main")
+    assert not hasattr(batch_executor, "_Running")
+    assert "oneshot_worker_main" not in exec_pkg.__all__
+    assert "oneshot_worker_main" not in dir(exec_pkg)
 
 
 def test_server_protocol_delegates_keys():

@@ -1,18 +1,11 @@
 """Tests for strong-bisimulation minimisation (FDR's sbisim analogue)."""
 
-import hypothesis.strategies as st
-from hypothesis import given, settings
-
 from repro.csp import (
-    Alphabet,
     Environment,
     ExternalChoice,
-    GenParallel,
-    InternalChoice,
     Prefix,
     SKIP,
     STOP,
-    SeqComp,
     compile_lts,
     event,
     interleave_all,
@@ -28,6 +21,7 @@ from repro.fdr import (
     compression_ratio,
     minimise,
 )
+from repro.quickcheck import for_all, process_terms, tuples
 
 A, B, C = event("a"), event("b"), event("c")
 
@@ -109,42 +103,47 @@ class TestMinimise:
         assert minimised.transition_count == 1
 
 
-def small_processes():
-    base = st.sampled_from([STOP, SKIP])
+#: random closed terms over a, b, c built from every operator of the grammar
+PROCESSES = process_terms()
 
-    def extend(children):
-        return st.one_of(
-            st.builds(Prefix, st.sampled_from([A, B, C]), children),
-            st.builds(ExternalChoice, children, children),
-            st.builds(InternalChoice, children, children),
-            st.builds(SeqComp, children, children),
-            st.builds(GenParallel, children, children, st.just(Alphabet.of(A))),
+
+def test_property_minimisation_preserves_traces(repro_seed):
+    def check(p):
+        lts = compile_lts(p)
+        minimised = minimise(lts)
+        assert minimised.state_count <= lts.state_count
+        assert reachable_visible_traces(lts, 4) == reachable_visible_traces(
+            minimised, 4
         )
 
-    return st.recursive(base, extend, max_leaves=5)
+    for_all(
+        PROCESSES, check, seed=repro_seed, name="minimise-preserves-traces", cases=60
+    )
 
 
-@settings(max_examples=60, deadline=None)
-@given(p=small_processes())
-def test_property_minimisation_preserves_traces(p):
-    lts = compile_lts(p)
-    minimised = minimise(lts)
-    assert minimised.state_count <= lts.state_count
-    assert reachable_visible_traces(lts, 4) == reachable_visible_traces(minimised, 4)
+def test_property_verdicts_stable_under_compression(repro_seed):
+    def check(pair):
+        spec_lts, impl_lts = compile_lts(pair[0]), compile_lts(pair[1])
+        direct = check_trace_refinement(spec_lts, impl_lts).passed
+        compressed = check_trace_refinement(
+            minimise(spec_lts), minimise(impl_lts)
+        ).passed
+        assert direct == compressed
+
+    for_all(
+        tuples(PROCESSES, PROCESSES),
+        check,
+        seed=repro_seed,
+        name="verdicts-stable-under-compression",
+        cases=40,
+    )
 
 
-@settings(max_examples=40, deadline=None)
-@given(spec=small_processes(), impl=small_processes())
-def test_property_verdicts_stable_under_compression(spec, impl):
-    spec_lts, impl_lts = compile_lts(spec), compile_lts(impl)
-    direct = check_trace_refinement(spec_lts, impl_lts).passed
-    compressed = check_trace_refinement(minimise(spec_lts), minimise(impl_lts)).passed
-    assert direct == compressed
+def test_property_minimisation_is_idempotent(repro_seed):
+    def check(p):
+        minimised = minimise(compile_lts(p))
+        assert minimise(minimised).state_count == minimised.state_count
 
-
-@settings(max_examples=60, deadline=None)
-@given(p=small_processes())
-def test_property_minimisation_is_idempotent(p):
-    minimised = minimise(compile_lts(p))
-    again = minimise(minimised)
-    assert again.state_count == minimised.state_count
+    for_all(
+        PROCESSES, check, seed=repro_seed, name="minimise-idempotent", cases=60
+    )

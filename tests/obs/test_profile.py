@@ -94,6 +94,66 @@ class TestAggregation:
         assert profile.metrics["refine.states_explored"] == 9
 
 
+def _full_scan_subtree(spans, root):
+    """The reference subtree: a parent index over every recorded span."""
+    children = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span)
+    collected, stack = [], [root]
+    while stack:
+        span = stack.pop()
+        collected.append(span)
+        stack.extend(children.get(span.span_id, ()))
+    return collected
+
+
+class TestSubtreeOfALongLivedTracer:
+    def _checks(self):
+        """Four sequential checks inside one batch span, then a stray root."""
+        clock = FakeClock()
+        tracer = Tracer(clock=clock)
+        roots = []
+        with tracer.span("batch"):
+            for step in range(1, 5):
+                with tracer.span("check", name="c{}".format(step)) as root:
+                    clock.advance(0.0013 * step)
+                    with tracer.span("compile"):
+                        clock.advance(0.0031 * step)
+                        with tracer.span("compress"):
+                            clock.advance(0.0007 * step)
+                    with tracer.span("refine"):
+                        clock.advance(0.0051 * step)
+                roots.append(root)
+        with tracer.span("check", name="after"):
+            clock.advance(0.002)
+        return tracer, roots
+
+    def test_middle_root_gets_exactly_its_subtree(self):
+        from repro.obs.profile import _subtree
+
+        tracer, roots = self._checks()
+        middle = roots[2]
+        subtree = _subtree(tracer.spans, middle)
+        assert subtree == _full_scan_subtree(tracer.spans, middle)
+        assert [span.name for span in subtree] == [
+            "check", "refine", "compile", "compress",
+        ]
+
+    def test_middle_root_profile_matches_the_full_scan(self):
+        tracer, roots = self._checks()
+        for root in roots:
+            reference = aggregate_spans(
+                _full_scan_subtree(tracer.spans, root),
+                total_ms=root.duration_ms,
+                metrics=tracer.metrics.snapshot(),
+                name=root.tags["name"],
+            )
+            profile = profile_of(tracer, root)
+            assert profile.as_dict() == reference.as_dict()
+            assert profile.stages == reference.stages
+            assert profile.table() == reference.table()
+
+
 class TestPresentation:
     def test_ordered_stages_canonical_then_extras_then_other(self):
         profile = aggregate_spans([], total_ms=0.0)

@@ -6,9 +6,7 @@ the tree's ``(.)`` action-sequence semantics coincides with the *completed*
 traces of the generated process on random trees.
 """
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from repro.csp import (
     Alphabet,
@@ -35,6 +33,7 @@ from repro.security import (
     feasible_attacks,
     sequence_of,
 )
+from repro.quickcheck import Gen, for_all
 
 A, B, C, D = (event(x) for x in "abcd")
 
@@ -110,36 +109,49 @@ class TestCspEquivalence:
         assert completed_traces(tree) == tree.sequences()
 
 
-def attack_trees():
-    base = st.sampled_from([action(A), action(B), action(C), action(D)])
+def attack_trees(max_leaves=4):
+    """Random series-parallel trees over actions a-d, at most *max_leaves*."""
+    leaves = [action(A), action(B), action(C), action(D)]
+    operators = [SeqNode, AndNode, lambda left, right: OrNode([left, right])]
 
-    def extend(children):
-        return st.one_of(
-            st.builds(SeqNode, children, children),
-            st.builds(AndNode, children, children),
-            st.builds(lambda l, r: OrNode([l, r]), children, children),
-        )
+    def draw(rng, budget):
+        if budget < 2 or rng.random() < 0.3:
+            return leaves[rng.randrange(len(leaves))]
+        split = rng.randint(1, budget - 1)
+        operator = operators[rng.randrange(len(operators))]
+        return operator(draw(rng, split), draw(rng, budget - split))
 
-    return st.recursive(base, extend, max_leaves=4)
+    return Gen(lambda rng: draw(rng, max_leaves))
 
 
-@settings(max_examples=50, deadline=None)
-@given(tree=attack_trees())
-def test_property_semantic_equivalence(tree):
+def test_property_semantic_equivalence(repro_seed):
     """(tree) == completed traces of tree.to_process(), on random SP graphs."""
-    sequences = tree.sequences()
-    longest = max(len(s) for s in sequences)
-    assert completed_traces(tree, max_length=longest + 1) == sequences
+
+    def check(tree):
+        sequences = tree.sequences()
+        longest = max(len(s) for s in sequences)
+        assert completed_traces(tree, max_length=longest + 1) == sequences
+
+    for_all(
+        attack_trees(), check, seed=repro_seed, name="attack-tree-semantics", cases=50
+    )
 
 
-@settings(max_examples=50, deadline=None)
-@given(tree=attack_trees())
-def test_property_sequences_nonempty_and_alphabet_closed(tree):
-    sequences = tree.sequences()
-    assert sequences
-    allowed = tree.actions()
-    for sequence in sequences:
-        assert set(sequence) <= set(allowed)
+def test_property_sequences_nonempty_and_alphabet_closed(repro_seed):
+    def check(tree):
+        sequences = tree.sequences()
+        assert sequences
+        allowed = tree.actions()
+        for sequence in sequences:
+            assert set(sequence) <= set(allowed)
+
+    for_all(
+        attack_trees(),
+        check,
+        seed=repro_seed,
+        name="attack-tree-sequences",
+        cases=50,
+    )
 
 
 class TestFeasibility:
