@@ -177,7 +177,6 @@ def _pipeline(
     env: Optional[Environment],
     max_states: int,
     passes: PassSpec,
-    on_the_fly: bool,
     cache: Optional[CompilationCache],
     table,
     obs: Optional[Tracer],
@@ -187,7 +186,6 @@ def _pipeline(
         table=table,
         cache=cache,
         max_states=max_states,
-        on_the_fly=on_the_fly,
         passes=passes,
         obs=obs,
     )
@@ -202,7 +200,6 @@ def check_refinement(
     name: Optional[str] = None,
     max_states: int = DEFAULT_STATE_LIMIT,
     passes: PassSpec = "default",
-    on_the_fly: bool = True,
     cache: Optional[CompilationCache] = None,
     table=None,
     obs: Optional[Tracer] = None,
@@ -214,7 +211,7 @@ def check_refinement(
     come through here (directly or via a shared pipeline built the same
     way).
     """
-    pipeline = _pipeline(env, max_states, passes, on_the_fly, cache, table, obs)
+    pipeline = _pipeline(env, max_states, passes, cache, table, obs)
     return pipeline.refinement(spec, impl, model, name, max_states)
 
 
@@ -232,7 +229,7 @@ def check_property(
 ) -> CheckResult:
     """Discharge ``term :[property]`` -- ``"deadlock free"``,
     ``"divergence free"`` or ``"deterministic"``."""
-    pipeline = _pipeline(env, max_states, passes, True, cache, table, obs)
+    pipeline = _pipeline(env, max_states, passes, cache, table, obs)
     return pipeline.property_check(term, property_name, name, max_states)
 
 

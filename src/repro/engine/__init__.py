@@ -2,26 +2,28 @@
 
 One :class:`VerificationPipeline` per model-checking session replaces the
 hand-wired compile → normalise → refine sequences that used to live in every
-caller.  The pipeline owns three pieces of shared state:
+caller.  The pipeline owns four pieces:
 
-* an :class:`AlphabetTable` interning events to dense int ids, so every
-  automaton it builds lives in one id space and the product search never
-  hashes an :class:`~repro.csp.events.Event` on the hot path;
+* an :class:`~repro.csp.events.AlphabetTable` interning events to dense int
+  ids, so every automaton it builds lives in one id space and the product
+  search never hashes an :class:`~repro.csp.events.Event` on the hot path;
 * a :class:`CompilationCache` memoising compiled LTSs and normalised
   specifications by structural fingerprint, so checking one specification
-  against many implementations compiles the shared side once -- optionally
-  backed by a content-addressed on-disk :class:`DiskCache` shared across
-  worker processes and sessions (see :mod:`repro.batch`);
-* the check dispatch itself, including the on-the-fly implementation
-  expansion that lets trace/failures checks exit on the first violation
-  without materialising the full implementation state space;
+  against many implementations compiles and normalises the shared side
+  once -- optionally backed by a content-addressed on-disk
+  :class:`DiskCache` shared across worker processes and sessions (see
+  :mod:`repro.batch`);
 * a :class:`CompilationPlan` that decomposes composed terms along their
   parallel/hiding/renaming boundaries and compresses each component with
   the configured :mod:`repro.passes` before the product is ever explored
-  (compress-before-compose, paper Sec. VII-A).
+  (compress-before-compose, paper Sec. VII-A);
+* the one route into the refinement search: the normalised spec against a
+  compiled implementation for ``[FD=``, and otherwise against an on-the-fly
+  view (:class:`ProductLTS` over compiled components, or the term-level
+  lazy expansion) that lets trace/failures checks exit on the first
+  violation without materialising the implementation state space.
 """
 
-from .alphabet import AlphabetTable, TAU_ID, TICK_ID, shared_table_of
 from .cache import CompilationCache, reachable_bindings, structural_key
 from .diskcache import DISKCACHE_FORMAT_VERSION, DiskCache, key_digest
 from .pipeline import VerificationPipeline, shared_cache
@@ -35,9 +37,6 @@ from .plan import (
 from .product import ProductLTS
 
 __all__ = [
-    "AlphabetTable",
-    "TAU_ID",
-    "TICK_ID",
     "CompilationCache",
     "CompilationPlan",
     "CompiledAutomaton",
@@ -51,6 +50,5 @@ __all__ = [
     "key_digest",
     "reachable_bindings",
     "shared_cache",
-    "shared_table_of",
     "structural_key",
 ]

@@ -3,11 +3,13 @@
 Every check that used to hand-wire ``compile_lts`` + ``normalise`` +
 ``check_*`` now goes through one :class:`VerificationPipeline`.  The pipeline
 owns an interned :class:`AlphabetTable` (one id space for every automaton it
-builds), a :class:`CompilationCache` (one compile per distinct term), and the
-choice between the on-the-fly product search (default for ``[T=`` / ``[F=``:
-implementation states unfold on demand, the search exits on the first
-violation) and the eager search (full LTS on both sides; always used for
-``[FD=``, which needs the implementation's complete tau graph).
+builds), a :class:`CompilationCache` (one compile and one normalisation per
+distinct term), and the one route into the refinement search: the spec is
+normalised through the cache, and the implementation side is chosen by the
+model and the term shape alone -- a compiled LTS for ``[FD=`` (divergence
+detection needs the implementation's complete tau graph), otherwise an
+on-the-fly view whose states unfold on demand so the search exits on the
+first violation.
 """
 
 from __future__ import annotations
@@ -20,19 +22,26 @@ from ..csp.process import Environment, Process
 from ..fdr.normalise import NormalisedSpec, normalise
 from ..fdr.refine import (
     CheckResult,
+    Implementation,
     LazyImplementation,
     check_deadlock_free,
     check_deterministic,
     check_divergence_free,
     check_failures_refinement_from,
-    check_fd_refinement,
+    check_fd_refinement_from,
     check_trace_refinement_from,
 )
 from ..obs.profile import profile_of
-from ..obs.trace import NULL_TRACER, Tracer, ensure_tracer
+from ..obs.trace import Tracer, ensure_tracer
 from ..passes.base import PassSpec, resolve_passes
 from .cache import CompilationCache, structural_key
 from .plan import CompilationPlan, PreparedTerm, component_provenance
+
+_REFINEMENT_CHECKS = {
+    "T": check_trace_refinement_from,
+    "F": check_failures_refinement_from,
+    "FD": check_fd_refinement_from,
+}
 
 _PROPERTY_CHECKS = {
     "deadlock free": check_deadlock_free,
@@ -51,20 +60,13 @@ class VerificationPipeline:
         table: Optional[AlphabetTable] = None,
         cache: Optional[CompilationCache] = None,
         max_states: int = DEFAULT_STATE_LIMIT,
-        on_the_fly: bool = True,
         passes: PassSpec = "default",
-        por: bool = False,
         obs: Optional[Tracer] = None,
     ) -> None:
         self.env = env if env is not None else Environment()
         self.table = table if table is not None else AlphabetTable()
         self.cache = cache if cache is not None else CompilationCache()
         self.max_states = max_states
-        self.on_the_fly = on_the_fly
-        #: partial-order reduction over independent interleaved components;
-        #: only sound for stuttering-invariant properties, so it is applied
-        #: solely to trace checks, and only when explicitly requested
-        self.por = por
         self.passes = resolve_passes(passes)
         self.plan = CompilationPlan(self, self.passes)
         self.checks_run = 0
@@ -125,6 +127,28 @@ class VerificationPipeline:
 
     # -- checks --------------------------------------------------------------
 
+    def _implementation(
+        self,
+        prepared: PreparedTerm,
+        model: str,
+        max_states: Optional[int] = None,
+    ) -> Implementation:
+        """The implementation side of a ``[model=`` search.
+
+        ``FD`` compiles the whole LTS: divergence detection needs the
+        implementation's complete tau graph.  ``T`` and ``F`` unfold states
+        on demand -- through the kernel-level product view over compiled
+        components when the prepared term qualifies, otherwise through the
+        term-level lazy expansion, which handles every term shape.
+        """
+        if model == "FD":
+            return self.compile(prepared.term, max_states)
+        limit = self.max_states if max_states is None else max_states
+        view = self.plan.product_view(prepared, limit)
+        if view is None:
+            return self.lazy(prepared.term, max_states)
+        return view
+
     def refinement(
         self,
         spec: Process,
@@ -133,17 +157,14 @@ class VerificationPipeline:
         name: Optional[str] = None,
         max_states: Optional[int] = None,
     ) -> CheckResult:
-        """Discharge ``spec [model= impl``.
-
-        ``T`` and ``F`` run on-the-fly unless the pipeline was built with
-        ``on_the_fly=False``; ``FD`` always materialises the implementation
-        (divergence detection needs its full tau graph).
-        """
-        if model not in ("T", "F", "FD"):
+        """Discharge ``spec [model= impl``: plan, normalise the spec, one search."""
+        try:
+            check = _REFINEMENT_CHECKS[model]
+        except KeyError:
             raise ValueError(
                 "model must be 'T' (traces), 'F' (failures) or 'FD' "
                 "(failures-divergences)"
-            )
+            ) from None
         label = name or "{!r} [{}= {!r}".format(spec, model, impl)
         self.checks_run += 1
         obs = self.obs
@@ -151,39 +172,10 @@ class VerificationPipeline:
             with obs.span("plan"):
                 prepared_spec = self.plan.prepare(spec, model, max_states)
                 prepared_impl = self.plan.prepare(impl, model, max_states)
-            if model == "FD":
-                spec_lts = self.compile(prepared_spec.term, max_states)
-                impl_lts = self.compile(prepared_impl.term, max_states)
-                # the FD check normalises its spec internally, so that
-                # normalisation's wall time lands in the refine stage
-                with obs.span("refine", model=model):
-                    result = check_fd_refinement(spec_lts, impl_lts, label, obs)
-            else:
-                normalised_spec = self.normalised(prepared_spec.term, max_states)
-                limit = self.max_states if max_states is None else max_states
-                if self.on_the_fly:
-                    # prefer the kernel-level product view over compiled
-                    # components; terms it cannot synthesise (no compiled
-                    # leaves, degraded components) fall back to the generic
-                    # term-level lazy expansion
-                    implementation = self.plan.product_view(
-                        prepared_impl,
-                        limit,
-                        por=self.por and model == "T",
-                    )
-                    if implementation is None:
-                        implementation = self.lazy(prepared_impl.term, max_states)
-                else:
-                    implementation = self.compile(prepared_impl.term, max_states)
-                with obs.span("refine", model=model):
-                    if model == "T":
-                        result = check_trace_refinement_from(
-                            normalised_spec, implementation, label, obs
-                        )
-                    else:
-                        result = check_failures_refinement_from(
-                            normalised_spec, implementation, label, obs
-                        )
+            normalised_spec = self.normalised(prepared_spec.term, max_states)
+            implementation = self._implementation(prepared_impl, model, max_states)
+            with obs.span("refine", model=model):
+                result = check(normalised_spec, implementation, label, obs)
         return self._finish(result, root, prepared_spec, prepared_impl)
 
     def property_check(

@@ -234,10 +234,7 @@ class CompilationPlan:
         return PreparedTerm(rebuilt, tuple(stats), tuple(components))
 
     def product_view(
-        self,
-        prepared: PreparedTerm,
-        max_states: int,
-        por: bool = False,
+        self, prepared: PreparedTerm, max_states: int
     ) -> Optional[ProductLTS]:
         """An on-the-fly product over the prepared term's compiled leaves.
 
@@ -248,9 +245,7 @@ class CompilationPlan:
         """
         if not prepared.compressed:
             return None
-        view = ProductLTS.for_term(
-            prepared.term, self.pipeline.table, max_states, por=por
-        )
+        view = ProductLTS.for_term(prepared.term, self.pipeline.table, max_states)
         if view is not None and self.pipeline.obs.enabled:
             self.pipeline.obs.metrics.counter("plan.product_views").inc()
         return view

@@ -18,30 +18,19 @@ then synchronised pairs in left-major order; hiding maps to tau in place;
 renaming relabels ids), so exploration order, verdicts, counterexamples and
 explored-state counts are identical to the term-level path it replaces.
 
-Like :class:`~repro.fdr.refine.LazyImplementation`, expanded edges land in
-two shared flat ``array('q')`` buffers with per-state bounds -- the kernel's
-span protocol -- and states are numbered in discovery order, which coincides
-with the term-level numbering because distinct tuples correspond exactly to
-distinct substituted terms.
-
-Partial-order reduction (optional, off by default): when a component's
-current state has only tau moves, those moves are invisible, cannot
-synchronise, and commute with every move of every other component.
-Expanding *only* that component's taus (an ample set) therefore preserves
-trace verdicts while skipping the interleaving blow-up.  The reduction is
-only sound for stuttering-invariant properties, so the pipeline enables it
-solely for trace checks and only when asked (``por=True``); a cycle proviso
-(the ample set must discover at least one new state) guards against a
-reduced cycle postponing a visible move forever.
+Like :class:`~repro.fdr.refine.LazyImplementation`, it is an
+:class:`~repro.fdr.refine.OnTheFlyLTS`: expanded edges land in that class's
+shared flat span store and states are numbered in discovery order, which
+coincides with the term-level numbering because distinct tuples correspond
+exactly to distinct substituted terms.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..csp.events import AlphabetTable, Event, TAU_ID, TICK_ID
-from ..csp.lts import DEFAULT_STATE_LIMIT, StateId, StateSpaceLimitExceeded
+from ..csp.events import AlphabetTable, TAU_ID, TICK_ID
+from ..csp.lts import DEFAULT_STATE_LIMIT, StateId
 from ..csp.process import (
     CompiledProcess,
     GenParallel,
@@ -50,6 +39,7 @@ from ..csp.process import (
     Process,
     Renaming,
 )
+from ..fdr.refine import OnTheFlyLTS
 
 #: one synthesised move: (interned event id, successor leaf-state tuple)
 _Move = Tuple[int, Tuple[StateId, ...]]
@@ -169,17 +159,14 @@ class _Rename:
         ]
 
 
-class ProductLTS:
+class ProductLTS(OnTheFlyLTS):
     """On-the-fly product of compiled component kernels (span protocol).
 
     Drives :class:`~repro.fdr.refine._ProductSearch` exactly like a
-    :class:`~repro.fdr.refine.LazyImplementation`: ``initial`` /
-    ``successors_span`` / ``is_stable`` / ``table`` / ``term_of``, with
-    states numbered in discovery order and a ``max_states`` budget enforced
-    at discovery time.
+    :class:`~repro.fdr.refine.LazyImplementation`; a state's key is the
+    tuple of component kernel states.
     """
 
-    #: obs metric this implementation reports its expansion count under
     expansion_metric = "product.states_expanded"
 
     def __init__(
@@ -189,23 +176,11 @@ class ProductLTS:
         kernels: List,
         table: AlphabetTable,
         max_states: int = DEFAULT_STATE_LIMIT,
-        por: bool = False,
     ) -> None:
-        self.table = table
-        self.max_states = max_states
-        self.por = por
-        self.initial: StateId = 0
-        #: times an ample set replaced a full expansion (POR diagnostics)
-        self.ample_hits = 0
+        super().__init__(_initial_tuple(template), table, max_states)
         self._template = template
         self._node = node
         self._kernels = kernels
-        start = _initial_tuple(template)
-        self._tuples: List[Tuple[StateId, ...]] = [start]
-        self._index: Dict[Tuple[StateId, ...], StateId] = {start: 0}
-        self._events: array = array("q")
-        self._targets: array = array("q")
-        self._bounds: List[Optional[Tuple[int, int]]] = [None]
 
     @classmethod
     def for_term(
@@ -213,7 +188,6 @@ class ProductLTS:
         term: Process,
         table: AlphabetTable,
         max_states: int = DEFAULT_STATE_LIMIT,
-        por: bool = False,
     ) -> Optional["ProductLTS"]:
         """A product view of *term*, or None when it does not qualify.
 
@@ -230,18 +204,12 @@ class ProductLTS:
         node = _build(term, kernels, table)
         if node is None:
             return None
-        return cls(term, node, kernels, table, max_states, por)
+        return cls(term, node, kernels, table, max_states)
 
     # -- the automaton protocol ----------------------------------------------
 
-    @property
-    def state_count(self) -> int:
-        """States discovered so far (grows as the search explores)."""
-        return len(self._tuples)
-
-    def component_states(self, state: StateId) -> Tuple[StateId, ...]:
-        """The component kernel states behind one product state."""
-        return self._tuples[state]
+    def _moves(self, tup: Tuple[StateId, ...]) -> List[_Move]:
+        return self._node.moves(tup)
 
     def term_of(self, state: StateId) -> Process:
         """The substituted spine term this product state corresponds to.
@@ -251,7 +219,7 @@ class ProductLTS:
         ``CompiledProcess`` leaves at the tuple's states, which is exactly
         what the parallel/hiding/renaming rules produce.
         """
-        tup = self._tuples[state]
+        tup = self._keys[state]
         position = [0]
 
         def subst(term: Process) -> Process:
@@ -271,83 +239,9 @@ class ProductLTS:
 
         return subst(self._template)
 
-    def successors_span(self, state: StateId) -> Tuple[array, array, int, int]:
-        """The state's edge range in the shared flat arrays (expands once)."""
-        bounds = self._bounds[state]
-        if bounds is None:
-            bounds = self._expand(state)
-        return self._events, self._targets, bounds[0], bounds[1]
-
-    def _expand(self, state: StateId) -> Tuple[int, int]:
-        tup = self._tuples[state]
-        moves = self._ample(tup) if self.por else None
-        if moves is None:
-            moves = self._node.moves(tup)
-        index = self._index
-        tuples = self._tuples
-        events, targets = self._events, self._targets
-        start = len(events)
-        for eid, new_tup in moves:
-            target = index.get(new_tup)
-            if target is None:
-                if len(tuples) >= self.max_states:
-                    raise StateSpaceLimitExceeded(self.max_states)
-                target = len(tuples)
-                index[new_tup] = target
-                tuples.append(new_tup)
-                self._bounds.append(None)
-            events.append(eid)
-            targets.append(target)
-        bounds = (start, len(events))
-        self._bounds[state] = bounds
-        return bounds
-
-    def _ample(self, tup: Tuple[StateId, ...]) -> Optional[List[_Move]]:
-        """An ample subset of the state's moves, or None for full expansion.
-
-        A component whose current state offers *only* raw kernel taus is an
-        ample candidate: its moves are invisible at every level (hiding and
-        renaming leave tau alone), can never synchronise, and touch no other
-        component -- so they commute with every concurrent move.  The first
-        candidate whose taus discover at least one new product state (the
-        cycle proviso) is expanded alone.
-        """
-        for k, kernel in enumerate(self._kernels):
-            events, targets, lo, hi = kernel.successors_span(tup[k])
-            if lo == hi:
-                continue
-            if any(events[i] != TAU_ID for i in range(lo, hi)):
-                continue
-            prefix, suffix = tup[:k], tup[k + 1 :]
-            ample = [
-                (TAU_ID, prefix + (targets[i],) + suffix)
-                for i in range(lo, hi)
-            ]
-            if any(new not in self._index for _, new in ample):
-                self.ample_hits += 1
-                return ample
-        return None
-
-    # -- convenience views (tests, diagnostics) ------------------------------
-
-    def successors_ids(self, state: StateId) -> List[Tuple[int, StateId]]:
-        events, targets, start, end = self.successors_span(state)
-        return [(events[i], targets[i]) for i in range(start, end)]
-
-    def successors(self, state: StateId) -> List[Tuple[Event, StateId]]:
-        event_of = self.table.event_of
-        return [(event_of(eid), t) for eid, t in self.successors_ids(state)]
-
-    def is_stable(self, state: StateId) -> bool:
-        events, _targets, start, end = self.successors_span(state)
-        for i in range(start, end):
-            if events[i] == TAU_ID:
-                return False
-        return True
-
     def __repr__(self) -> str:
         return "ProductLTS({} components, {} states discovered)".format(
-            len(self._kernels), len(self._tuples)
+            len(self._kernels), self.state_count
         )
 
 

@@ -13,7 +13,6 @@ from .counterexample import (
     NondeterminismCounterexample,
     TraceCounterexample,
 )
-from .compress import bisimulation_classes, compression_ratio, minimise
 from .normalise import (
     NormalisedSpec,
     minimal_bitsets,
@@ -29,19 +28,12 @@ from .refine import (
     check_divergence_free,
     check_failures_refinement,
     check_failures_refinement_from,
-    check_fd_refinement,
+    check_fd_refinement_from,
     check_trace_refinement,
     check_trace_refinement_from,
 )
-from .assertions import (
-    Assertion,
-    PropertyAssertion,
-    RefinementAssertion,
-    Session,
-)
 
 __all__ = [
-    "Assertion",
     "CheckResult",
     "Counterexample",
     "DeadlockCounterexample",
@@ -50,23 +42,17 @@ __all__ = [
     "LazyImplementation",
     "NondeterminismCounterexample",
     "NormalisedSpec",
-    "PropertyAssertion",
-    "RefinementAssertion",
-    "Session",
     "TraceCounterexample",
-    "bisimulation_classes",
     "check_deadlock_free",
     "check_deterministic",
     "check_divergence_free",
     "check_failures_refinement",
     "check_failures_refinement_from",
-    "check_fd_refinement",
+    "check_fd_refinement_from",
     "check_trace_refinement",
     "check_trace_refinement_from",
-    "compression_ratio",
     "minimal_bitsets",
     "minimal_sets",
-    "minimise",
     "normalise",
     "tau_cycle_states",
 ]

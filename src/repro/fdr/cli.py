@@ -12,7 +12,6 @@ Usage::
     cspcheck model.csp                    # run the script's assertions
     cspcheck model.csp --max-states 1e6   # larger state budget
     cspcheck model.csp --quiet            # verdict summary only
-    cspcheck model.csp --eager            # materialise impls (no on-the-fly)
     cspcheck model.csp --stats            # cache/alphabet/pass statistics
     cspcheck model.csp --compress=none    # disable compress-before-compose
     cspcheck model.csp --compress=tau_loop,sbisim   # explicit pass list
@@ -56,11 +55,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--quiet", action="store_true", help="print only the final summary line"
-    )
-    parser.add_argument(
-        "--eager",
-        action="store_true",
-        help="fully compile implementations instead of on-the-fly expansion",
     )
     add_stats_arg(
         parser,
@@ -171,7 +165,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pipeline = VerificationPipeline(
                 model.env,
                 max_states=int(args.max_states),
-                on_the_fly=not args.eager,
                 passes=args.compress,
                 obs=tracer,
             )

@@ -10,13 +10,14 @@ paper's workflow.
 
 The implementation side is anything exposing the small automaton protocol
 (``initial``, ``successors_span``, ``is_stable``, ``table``): a fully
-compiled :class:`~repro.csp.kernel.CompactLTS` (the eager path), a
-:class:`LazyImplementation` (states unfold on demand from the operational
-semantics so the search can exit on the first violation without
-materialising the whole state space), or the on-the-fly
-:class:`~repro.engine.product.ProductLTS` over compiled component kernels.
-All three store their edges in shared flat ``array('q')`` pairs, and the
-product search walks them by index -- no per-transition tuple allocation.
+compiled :class:`~repro.csp.kernel.CompactLTS` (what ``[FD=`` and the
+property checks search), or an :class:`OnTheFlyLTS` whose states unfold on
+demand so the search can exit on the first violation without materialising
+the whole state space -- a :class:`LazyImplementation` over the operational
+semantics, or the :class:`~repro.engine.product.ProductLTS` over compiled
+component kernels.  All of them store their edges in shared flat
+``array('q')`` pairs, and the product search walks them by index -- no
+per-transition tuple allocation.
 
 Supported checks:
 
@@ -99,50 +100,43 @@ class CheckResult:
         return "CheckResult({!r}, passed={})".format(self.name, self.passed)
 
 
-class LazyImplementation:
-    """On-the-fly implementation state space over the operational semantics.
+class OnTheFlyLTS:
+    """A state space discovered on demand, in the kernel's span layout.
 
-    Exposes the same automaton protocol as a compiled
-    :class:`~repro.csp.kernel.CompactLTS` (``initial`` / ``successors_span``
-    / ``is_stable`` / ``table``) but expands each state's transitions only
-    when the product search first asks for them, memoising terms exactly
-    like the eager compiler -- so the reachable fragment it builds is
-    state-for-state the prefix of the eager LTS the search actually touches,
-    and verdicts and counterexamples come out identical.  Expanded edges are
-    appended to two shared flat ``array('q')`` buffers with per-state
-    ``(start, end)`` bounds, matching the kernel's CSR layout (states land
-    in expansion rather than id order, which the span view hides).  Raises
-    :class:`StateSpaceLimitExceeded` when expansion would pass *max_states*
-    distinct terms, mirroring ``compile_lts``.
+    The shared store behind every on-the-fly implementation: states are
+    numbered in discovery order, each state's moves are generated once (when
+    the product search first asks for them) and appended to two shared flat
+    ``array('q')`` buffers with per-state ``(start, end)`` bounds, matching
+    the CSR layout of a compiled :class:`~repro.csp.kernel.CompactLTS`
+    (states land in expansion rather than id order, which the span view
+    hides).  Raises :class:`StateSpaceLimitExceeded` when discovery would
+    pass *max_states* distinct states, mirroring ``compile_lts``.
+
+    Subclasses supply ``_moves(key)`` -- the ``(event id, successor key)``
+    pairs of the state behind a hashable *key*, in SOS order -- and
+    ``term_of``.
     """
 
     #: obs metric this implementation reports its expansion count under
-    expansion_metric = "lazy.states_expanded"
+    expansion_metric: Optional[str] = None
 
-    def __init__(
-        self,
-        process: Process,
-        env: Optional[Environment] = None,
-        table: Optional[AlphabetTable] = None,
-        max_states: int = DEFAULT_STATE_LIMIT,
-    ) -> None:
-        self.env = env or Environment()
-        self.table = table if table is not None else AlphabetTable()
+    def __init__(self, root, table: AlphabetTable, max_states: int) -> None:
+        self.table = table
         self.max_states = max_states
         self.initial: StateId = 0
-        self._terms: List[Process] = [process]
-        self._index: Dict[Process, StateId] = {process: 0}
+        self._keys: List = [root]
+        self._index: Dict = {root: 0}
         self._events: array = array("q")
         self._targets: array = array("q")
         self._bounds: List[Optional[Tuple[int, int]]] = [None]
 
+    def _moves(self, key) -> List[Tuple[int, object]]:
+        raise NotImplementedError
+
     @property
     def state_count(self) -> int:
         """States discovered so far (grows as the search explores)."""
-        return len(self._terms)
-
-    def term_of(self, state: StateId) -> Process:
-        return self._terms[state]
+        return len(self._keys)
 
     def successors_span(self, state: StateId) -> Tuple[array, array, int, int]:
         """The state's edge range in the shared flat arrays (expands once)."""
@@ -152,21 +146,20 @@ class LazyImplementation:
         return self._events, self._targets, bounds[0], bounds[1]
 
     def _expand(self, state: StateId) -> Tuple[int, int]:
-        intern = self.table.intern
         index = self._index
-        terms = self._terms
+        keys = self._keys
         events, targets = self._events, self._targets
         start = len(events)
-        for event, successor in sos_transitions(terms[state], self.env):
+        for eid, successor in self._moves(keys[state]):
             target = index.get(successor)
             if target is None:
-                if len(terms) >= self.max_states:
+                if len(keys) >= self.max_states:
                     raise StateSpaceLimitExceeded(self.max_states)
-                target = len(terms)
+                target = len(keys)
                 index[successor] = target
-                terms.append(successor)
+                keys.append(successor)
                 self._bounds.append(None)
-            events.append(intern(event))
+            events.append(eid)
             targets.append(target)
         bounds = (start, len(events))
         self._bounds[state] = bounds
@@ -188,9 +181,46 @@ class LazyImplementation:
         return True
 
 
+class LazyImplementation(OnTheFlyLTS):
+    """On-the-fly implementation state space over the operational semantics.
+
+    Expands each process term's transitions only when the product search
+    first asks for them, memoising terms exactly like the eager compiler --
+    so the reachable fragment it builds is state-for-state the prefix of the
+    compiled LTS the search actually touches, and verdicts and
+    counterexamples come out identical.
+    """
+
+    expansion_metric = "lazy.states_expanded"
+
+    def __init__(
+        self,
+        process: Process,
+        env: Optional[Environment] = None,
+        table: Optional[AlphabetTable] = None,
+        max_states: int = DEFAULT_STATE_LIMIT,
+    ) -> None:
+        super().__init__(
+            process,
+            table if table is not None else AlphabetTable(),
+            max_states,
+        )
+        self.env = env or Environment()
+
+    def _moves(self, term: Process) -> List[Tuple[int, Process]]:
+        intern = self.table.intern
+        return [
+            (intern(event), successor)
+            for event, successor in sos_transitions(term, self.env)
+        ]
+
+    def term_of(self, state: StateId) -> Process:
+        return self._keys[state]
+
+
 #: Anything the product search can drive on the implementation side: a
 #: compiled kernel, a lazy SOS expansion, or an on-the-fly product view.
-Implementation = Union[LTS, LazyImplementation, "object"]
+Implementation = Union[LTS, OnTheFlyLTS]
 
 
 def _attach_impl_state(
@@ -215,21 +245,6 @@ def _attach_impl_state(
     if terms is not None and state < len(terms):
         violation.impl_term = terms[state]
     return violation
-
-
-def _emit_search_metrics(obs: Tracer, search: "_ProductSearch") -> None:
-    """Record one finished product search into the tracer's metrics."""
-    if not obs.enabled:
-        return
-    metrics = obs.metrics
-    metrics.counter("refine.states_explored").inc(len(search.parents))
-    metrics.counter("refine.transitions_explored").inc(
-        search.transitions_explored
-    )
-    metrics.gauge("refine.peak_frontier").set_max(search.peak_frontier)
-    metric = getattr(search.impl, "expansion_metric", None)
-    if metric is not None:
-        metrics.counter(metric).inc(search.impl.state_count)
 
 
 class _ProductSearch:
@@ -261,6 +276,7 @@ class _ProductSearch:
         self.violation_pair: Optional[Pair] = None
         #: largest BFS queue length seen; tracked only under an enabled
         #: tracer so the disabled search loop pays one local bool test
+        self.obs = obs
         self._track = obs.enabled
         self.peak_frontier = 0
 
@@ -302,6 +318,58 @@ class _ProductSearch:
             cursor = parent
         events.reverse()
         return tuple(events)
+
+    def stable_failure(self, pair: Pair, trace_to) -> Optional[Counterexample]:
+        """The stable-failures condition at one product pair.
+
+        A stable implementation state must offer a superset of some minimal
+        acceptance of the matching specification node.
+        """
+        impl_state, node = pair
+        if not self.impl.is_stable(impl_state):
+            return None
+        spec = self.spec
+        if spec.allows_stable_refusal_bits(
+            node, self.offered_spec_bits(impl_state)
+        ):
+            return None
+        offered = self.offered_events(impl_state)
+        acceptances = spec.acceptances[node]
+        required = (
+            frozenset().union(*acceptances) if acceptances else frozenset()
+        )
+        return FailureCounterexample(trace_to(pair), offered, required - offered)
+
+    def check(self, name: str, on_pair=None, prune=None) -> CheckResult:
+        """Run the search and package its outcome as a :class:`CheckResult`.
+
+        The violating implementation state is attached to the
+        counterexample and the search statistics land in the tracer's
+        metrics.
+        """
+        violation = _attach_impl_state(
+            self.run(on_pair, prune),
+            self.impl,
+            self.violation_pair[0] if self.violation_pair else None,
+        )
+        obs = self.obs
+        if obs.enabled:
+            metrics = obs.metrics
+            metrics.counter("refine.states_explored").inc(len(self.parents))
+            metrics.counter("refine.transitions_explored").inc(
+                self.transitions_explored
+            )
+            metrics.gauge("refine.peak_frontier").set_max(self.peak_frontier)
+            metric = getattr(self.impl, "expansion_metric", None)
+            if metric is not None:
+                metrics.counter(metric).inc(self.impl.state_count)
+        return CheckResult(
+            name,
+            violation is None,
+            violation,
+            states_explored=len(self.parents),
+            transitions_explored=self.transitions_explored,
+        )
 
     def run(self, on_pair=None, prune=None) -> Optional[Counterexample]:
         """Explore the product; return the first violation found (or None).
@@ -375,20 +443,7 @@ def check_trace_refinement_from(
     obs: Tracer = NULL_TRACER,
 ) -> CheckResult:
     """Decide ``Spec ⊑T Impl`` against an already-normalised specification."""
-    search = _ProductSearch(impl, normalised, obs)
-    violation = _attach_impl_state(
-        search.run(),
-        impl,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
-    )
+    return _ProductSearch(impl, normalised, obs).check(name)
 
 
 def check_failures_refinement_from(
@@ -399,35 +454,7 @@ def check_failures_refinement_from(
 ) -> CheckResult:
     """Decide ``Spec ⊑F Impl`` against an already-normalised specification."""
     search = _ProductSearch(impl, normalised, obs)
-
-    def stable_check(pair: Pair, trace_to) -> Optional[Counterexample]:
-        impl_state, node = pair
-        if not search.impl.is_stable(impl_state):
-            return None
-        if normalised.allows_stable_refusal_bits(
-            node, search.offered_spec_bits(impl_state)
-        ):
-            return None
-        offered = search.offered_events(impl_state)
-        acceptances = normalised.acceptances[node]
-        required = (
-            frozenset().union(*acceptances) if acceptances else frozenset()
-        )
-        return FailureCounterexample(trace_to(pair), offered, required - offered)
-
-    violation = _attach_impl_state(
-        search.run(on_pair=stable_check),
-        impl,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
-    )
+    return search.check(name, on_pair=search.stable_failure)
 
 
 def check_trace_refinement(spec: LTS, impl: LTS, name: str = "Spec [T= Impl") -> CheckResult:
@@ -444,57 +471,34 @@ def check_failures_refinement(spec: LTS, impl: LTS, name: str = "Spec [F= Impl")
     return check_failures_refinement_from(normalise(spec), impl, name)
 
 
-def check_fd_refinement(
-    spec: LTS,
+def check_fd_refinement_from(
+    normalised: NormalisedSpec,
     impl: LTS,
     name: str = "Spec [FD= Impl",
     obs: Tracer = NULL_TRACER,
 ) -> CheckResult:
-    """Decide ``Spec ⊑FD Impl`` in the failures-divergences model.
+    """Decide ``Spec ⊑FD Impl`` against an already-normalised specification.
 
     Beyond the stable-failures conditions, the implementation may only
     diverge where the specification itself diverges; where the spec node is
     divergent it behaves chaotically and permits everything (so the search
-    prunes there, exactly as FDR does).  Divergence detection needs the full
-    implementation tau graph, so this check always runs eagerly.
+    prunes there, exactly as FDR does).  Divergence detection needs the
+    implementation's full tau graph, so *impl* is a compiled LTS.
     """
-    normalised = normalise(spec, obs=obs)
     impl_divergent = tau_cycle_states(impl)
+    divergent = normalised.divergent
     search = _ProductSearch(impl, normalised, obs)
 
     def fd_check(pair: Pair, trace_to) -> Optional[Counterexample]:
         impl_state, node = pair
-        if normalised.divergent[node]:
+        if divergent[node]:
             return None  # spec diverges here: chaotic, anything goes
         if impl_state in impl_divergent:
             return DivergenceCounterexample(trace_to(pair))
-        if not search.impl.is_stable(impl_state):
-            return None
-        if normalised.allows_stable_refusal_bits(
-            node, search.offered_spec_bits(impl_state)
-        ):
-            return None
-        offered = search.offered_events(impl_state)
-        acceptances = normalised.acceptances[node]
-        required = (
-            frozenset().union(*acceptances) if acceptances else frozenset()
-        )
-        return FailureCounterexample(trace_to(pair), offered, required - offered)
+        return search.stable_failure(pair, trace_to)
 
-    violation = _attach_impl_state(
-        search.run(
-            on_pair=fd_check, prune=lambda pair: normalised.divergent[pair[1]]
-        ),
-        impl,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
+    return search.check(
+        name, on_pair=fd_check, prune=lambda pair: divergent[pair[1]]
     )
 
 
@@ -617,16 +621,4 @@ def check_deterministic(
                 return NondeterminismCounterexample(trace_to(pair), event)
         return None
 
-    violation = _attach_impl_state(
-        search.run(on_pair=stable_check),
-        lts,
-        search.violation_pair[0] if search.violation_pair else None,
-    )
-    _emit_search_metrics(obs, search)
-    return CheckResult(
-        name,
-        violation is None,
-        violation,
-        states_explored=len(search.parents),
-        transitions_explored=search.transitions_explored,
-    )
+    return search.check(name, on_pair=stable_check)

@@ -46,6 +46,7 @@ from ..csp.traces import denotational_traces
 from ..engine import VerificationPipeline
 from ..fdr.counterexample import FailureCounterexample, TraceCounterexample
 from ..fdr.normalise import NormalisedSpec, normalise
+from ..fdr.refine import check_failures_refinement_from, check_trace_refinement_from
 from . import gen as g
 from .gen import CaplProgram, Gen
 
@@ -300,8 +301,15 @@ def check_lazy_eager(value) -> None:
     spec, impl, model = value
     if model not in ("T", "F"):
         raise Discard
-    lazy = VerificationPipeline(on_the_fly=True).refinement(spec, impl, model)
-    eager = VerificationPipeline(on_the_fly=False).refinement(spec, impl, model)
+    lazy = VerificationPipeline().refinement(spec, impl, model)
+    # the eager reference: the implementation compiled in full, no plan
+    reference = VerificationPipeline()
+    check = (
+        check_trace_refinement_from
+        if model == "T"
+        else check_failures_refinement_from
+    )
+    eager = check(reference.normalised(spec), reference.compile(impl))
     if lazy.passed != eager.passed:
         raise OracleViolation(
             "{!r} [{}= {!r}: on-the-fly says {}, eager says {}".format(

@@ -1,13 +1,15 @@
 """The shared verification pipeline: interning, caching, on-the-fly search.
 
-Three claims are pinned here:
+Four claims are pinned here:
 
 * the alphabet table is a faithful bijection (Event -> id -> Event),
 * the compilation cache hits on structurally equal terms and misses when a
   reachable binding differs,
-* the on-the-fly product search is *observably identical* to the eager one:
-  same verdicts and the same counterexample traces, on the case-study
-  models (including the seeded-defect ECU from ``ota/data/ecu_flawed.can``).
+* the on-the-fly product search is *observably identical* to the eager
+  reference (the implementation compiled in full, then searched): same
+  verdicts and the same counterexample traces, on the case-study models
+  (including the seeded-defect ECU from ``ota/data/ecu_flawed.can``),
+* ``[FD=`` normalises its spec through the cache like ``[T=``/``[F=``.
 """
 
 import pathlib
@@ -20,14 +22,18 @@ from repro.csp import (
     TICK,
     TICK_ID,
     AlphabetTable,
+    Alphabet,
     Environment,
     Event,
+    GenParallel,
+    InternalChoice,
     Prefix,
     ProcessRef,
     Stop,
     external_choice,
 )
 from repro.engine import CompilationCache, VerificationPipeline, structural_key
+from repro.fdr import check_failures_refinement_from, check_trace_refinement_from
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.scenario import extract_system
 
@@ -112,14 +118,30 @@ def test_cached_lts_respects_smaller_budgets():
 # -- lazy vs eager equivalence -------------------------------------------------------
 
 
+def _eager_reference(model, decl, pipeline):
+    """The materialised reference for one ``[T=``/``[F=`` assert line: the
+    implementation compiled in full, searched against the normalised spec."""
+    check = {
+        "T": check_trace_refinement_from,
+        "F": check_failures_refinement_from,
+    }[decl.kind]
+    spec = model.eval_process(decl.left, {})
+    impl = model.eval_process(decl.right, {})
+    return check(pipeline.normalised(spec), pipeline.compile(impl))
+
+
 def _check_both_ways(ecu_source):
-    """Run every composed assertion lazily and eagerly; return paired results."""
-    pairs = []
-    for on_the_fly in (True, False):
-        model = extract_system(ecu_source).load()
-        pipeline = VerificationPipeline(model.env, on_the_fly=on_the_fly)
-        pairs.append(model.check_assertions(pipeline=pipeline))
-    return list(zip(*pairs))
+    """Run every composed assertion through the pipeline's route and
+    through the eager reference; return paired results."""
+    model = extract_system(ecu_source).load()
+    lazy = model.check_assertions()
+    reference = extract_system(ecu_source).load()
+    pipeline = VerificationPipeline(reference.env)
+    eager = [
+        _eager_reference(reference, decl, pipeline)
+        for decl in reference.assertions
+    ]
+    return list(zip(lazy, eager))
 
 
 def _assert_observably_identical(lazy_result, eager_result):
@@ -167,8 +189,31 @@ def test_on_the_fly_stops_before_full_state_space():
     env.bind("SPEC", Prefix(Event("c", ("step", 59)), ProcessRef("SPEC")))
     pipeline = VerificationPipeline(env)
     impl = pipeline.lazy(ProcessRef("IMPL"))
-    from repro.fdr import check_trace_refinement_from
-
     result = check_trace_refinement_from(pipeline.normalised(ProcessRef("SPEC")), impl)
     assert not result.passed
     assert impl.state_count < 30
+
+
+def test_fd_checks_normalise_a_shared_spec_once():
+    env = Environment()
+    a, b = Event("a"), Event("b")
+    env.bind("SPEC", Prefix(a, Prefix(b, ProcessRef("SPEC"))))
+    env.bind("P", Prefix(a, Prefix(b, ProcessRef("P"))))
+    env.bind("Q", Prefix(a, InternalChoice(Prefix(b, ProcessRef("Q")), Stop())))
+    sync = Alphabet([a, b])
+    env.bind("GOOD", GenParallel(ProcessRef("P"), ProcessRef("P"), sync))
+    env.bind("BAD", GenParallel(ProcessRef("P"), ProcessRef("Q"), sync))
+    pipeline = VerificationPipeline(env)
+    good = pipeline.refinement(ProcessRef("SPEC"), ProcessRef("GOOD"), "FD")
+    assert pipeline.stats()["normalised_misses"] == 1
+    bad = pipeline.refinement(ProcessRef("SPEC"), ProcessRef("BAD"), "FD")
+    stats = pipeline.stats()
+    assert stats["normalised_misses"] == 1
+    assert stats["normalised_hits"] == 1
+    # the search itself is unchanged: verdicts, counterexample, explored counts
+    assert good.passed and good.states_explored == 2
+    assert not bad.passed and bad.states_explored == 4
+    assert bad.counterexample.describe() == (
+        "failure violation: after <a> the implementation stably offers only "
+        "{nothing}, refusing events the specification requires"
+    )

@@ -1,8 +1,13 @@
 """The refactor's contract, enforced: batch and server no longer carry
 their own spec-execution or key-computation code -- both import it from
-:mod:`repro.exec` -- and there is one worker model, the server's
-persistent workers.  These tests are the tripwire against the copies
-quietly growing back."""
+:mod:`repro.exec` -- there is one worker model, the server's persistent
+workers, and one route into the refinement search.  These tests are the
+tripwire against the copies quietly growing back."""
+
+import importlib
+import inspect
+
+import pytest
 
 import repro.batch.executor as batch_executor
 import repro.engine.diskcache as diskcache
@@ -37,6 +42,24 @@ def test_one_worker_model():
     assert not hasattr(batch_executor, "_Running")
     assert "oneshot_worker_main" not in exec_pkg.__all__
     assert "oneshot_worker_main" not in dir(exec_pkg)
+
+
+def test_one_refinement_route():
+    # the search route is chosen by the model and the term shape; a user
+    # switch, a partial-order reduction or an assertion wrapper layer
+    # growing back next to it would trip these
+    import repro.fdr as fdr
+    from repro.engine import ProductLTS, VerificationPipeline
+
+    keywords = inspect.signature(VerificationPipeline).parameters
+    assert "on_the_fly" not in keywords
+    assert "por" not in keywords
+    assert not hasattr(ProductLTS, "_ample")
+    for gone in ("Session", "compress", "RefinementAssertion", "PropertyAssertion"):
+        assert not hasattr(fdr, gone), gone
+    for module in ("repro.fdr.assertions", "repro.fdr.compress", "repro.engine.alphabet"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
 
 def test_server_protocol_delegates_keys():
