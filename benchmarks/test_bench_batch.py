@@ -18,7 +18,8 @@ smaller machines the numbers are still emitted for the record.
 import os
 import time
 
-from repro.batch import CheckSpec, run_batch
+from repro.batch import CheckSpec
+from repro.batch.executor import run_batch
 from repro.csp import Channel, Environment, Prefix, ref
 from repro.security.properties import run_process
 

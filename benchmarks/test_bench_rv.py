@@ -26,7 +26,7 @@ import json
 import os
 import time
 
-from repro.batch import run_batch
+from repro.batch.executor import run_batch
 from repro.rv.cli import load_rv_manifest, specs_from_manifest
 from repro.rv.fleetgen import write_fleet
 from repro.server import VerificationServer

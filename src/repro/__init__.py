@@ -23,6 +23,10 @@ The package provides every stage of the paper's Fig. 1 toolchain:
 * :mod:`repro.rv`         -- offline runtime verification of CAN logs
 * :mod:`repro.server`     -- the ``cspserve`` daemon (warm workers, dedup)
 
+``import repro`` loads only the :mod:`repro.api` v1 names re-exported
+below and what they need; every subpackage is imported where it is used,
+so a command-line tool pays only for its own stages.
+
 Quickstart -- the :mod:`repro.api` facade is the supported entry point::
 
     from repro import api
@@ -37,24 +41,6 @@ or the whole case study at once::
     print(report.summary())              # SP02 fails with the insecure trace
 """
 
-from . import (
-    api,
-    batch,
-    canbus,
-    candb,
-    capl,
-    csp,
-    cspm,
-    engine,
-    fdr,
-    obs,
-    ota,
-    rv,
-    security,
-    server,
-    testgen,
-    translator,
-)
 from .api import (
     API_VERSION,
     Verdict,
@@ -77,31 +63,15 @@ __version__ = "1.0.0"
 __all__ = [
     "API_VERSION",
     "Verdict",
-    "api",
-    "batch",
-    "canbus",
-    "candb",
-    "capl",
     "check_deadlock",
     "check_determinism",
     "check_divergence",
     "check_property",
     "check_refinement",
     "check_trace",
-    "csp",
-    "cspm",
-    "engine",
     "execute_check",
     "extract_model",
-    "fdr",
-    "obs",
-    "ota",
-    "rv",
-    "security",
-    "server",
     "server_client",
-    "testgen",
-    "translator",
     "verify_requirement",
     "verify_requirements",
     "verify_traces",

@@ -354,7 +354,8 @@ def verify_requirements(
     requirement order regardless of scheduling.
     """
     # deferred: repro.batch builds on this module's check functions
-    from .batch import requirement_specs, run_batch
+    from .batch.executor import run_batch
+    from .batch.spec import requirement_specs
 
     return run_batch(
         requirement_specs(req_ids),
@@ -406,7 +407,7 @@ def verify_traces(
             specs, tenant=tenant, timeout=timeout
         )
     else:
-        from .batch import run_batch
+        from .batch.executor import run_batch
 
         results = run_batch(
             specs,

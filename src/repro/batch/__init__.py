@@ -12,17 +12,19 @@ the ``cspserve`` daemon runs:
   of the batch completes.  Identical checks coalesce onto one execution.
 * **Determinism** -- results come back in input order and each job runs in
   a fresh pipeline; a parallel run's canonical results are byte-identical
-  to the sequential reference (:func:`execute_spec`), which the
-  conformance corpus under ``tests/conformance`` enforces.
+  to the sequential reference (:func:`~repro.exec.runtime.execute_spec`),
+  which the conformance corpus under ``tests/conformance`` enforces.
 * **Shared compilation** -- workers layer the in-memory cache over a
   content-addressed on-disk store (:mod:`repro.engine.diskcache`), so one
   worker's compiled automaton warms every sibling and every later session.
 
 Surfaced on the command line as ``cspbatch`` (manifest in, JSONL out) and
-programmatically as :func:`repro.api.verify_requirements`.
+programmatically as :func:`repro.batch.executor.run_batch` and
+:func:`repro.api.verify_requirements`.  The package itself exports only the
+wire format of :mod:`repro.batch.spec`; the runner lives in
+:mod:`repro.batch.executor`, which :mod:`repro.exec` does not import.
 """
 
-from .executor import BatchReport, execute_spec, run_batch
 from .spec import (
     BATCH_FORMAT_VERSION,
     CANCELLED,
@@ -43,7 +45,6 @@ from .spec import (
 
 __all__ = [
     "BATCH_FORMAT_VERSION",
-    "BatchReport",
     "CANCELLED",
     "CheckSpec",
     "ERROR",
@@ -54,10 +55,8 @@ __all__ = [
     "TIMEOUT",
     "VERDICTS",
     "dump_manifest",
-    "execute_spec",
     "load_manifest",
     "manifest_document",
     "parse_manifest",
     "requirement_specs",
-    "run_batch",
 ]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from typing import List, Optional
 
 from ..cli_common import (
@@ -49,8 +48,8 @@ from ..cli_common import (
     result_cache_dir_from_args,
     tracer_from_args,
 )
-from .executor import run_batch
-from .spec import CheckSpec, ManifestError, PASS, load_manifest
+from .executor import run_batch, verdict_counts, verdict_tally
+from .spec import CheckSpec, JobResult, ManifestError, PASS, load_manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,49 +128,72 @@ def _load_specs(path: str, parser: argparse.ArgumentParser) -> List[CheckSpec]:
         parser.exit(EXIT_USAGE, "cspbatch: bad manifest: {}\n".format(error))
 
 
-def _run_against_server(args, specs: List[CheckSpec]) -> int:
-    """The ``--server`` client mode: one POST /batch, canonical JSONL out."""
+def run_checks(args, specs: List[CheckSpec], tool: str) -> int:
+    """Run *specs* for a manifest-driven CLI and report; returns the exit status.
+
+    Shared by ``cspbatch`` and ``csprv``.  With ``args.server`` the specs
+    go to a running daemon in one ``POST /batch`` round trip; otherwise
+    they run on ``args.jobs`` local workers (0: inline).  Either way each
+    canonical result goes to stdout in spec order, and diagnostics to
+    stderr.  An unusable server URL or unreachable daemon exits 2; a
+    rejected submission exits 1 -- no verdict means no pass.
+    """
+    if args.server is not None:
+        return _run_against_server(args, specs, tool)
+    tracer = tracer_from_args(args)
+    try:
+        report = run_batch(
+            specs,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            batch_timeout=getattr(args, "batch_timeout", None),
+            cache_dir=getattr(args, "cache_dir", None),
+            result_cache_dir=result_cache_dir_from_args(args),
+            obs=tracer if tracer.enabled else None,
+            inline=args.jobs == 0,
+        )
+    except KeyboardInterrupt:
+        sys.stderr.write("{}: interrupted\n".format(tool))
+        return EXIT_VIOLATION
+    status = _emit_results(args, report.results, report.summary())
+    if args.stats and report.result_cache_stats is not None:
+        emit_stats(sorted(report.result_cache_stats.items()))
+    finish_observability(args, tracer, report.profile)
+    return status
+
+
+def _run_against_server(args, specs: List[CheckSpec], tool: str) -> int:
     from ..server.client import ServerClient, ServerError
     from ..server.protocol import Rejection
 
     try:
-        client = ServerClient(args.server)
-    except ValueError as error:
-        sys.stderr.write("cspbatch: {}\n".format(error))
-        return EXIT_USAGE
-    try:
-        results = client.run_manifest(
+        results = ServerClient(args.server).run_manifest(
             specs, tenant=args.tenant, timeout=args.timeout
         )
-    except ServerError as error:
-        sys.stderr.write("cspbatch: {}\n".format(error))
+    except (ValueError, ServerError) as error:
+        sys.stderr.write("{}: {}\n".format(tool, error))
         return EXIT_USAGE
     except Rejection as rejection:
-        # fail closed: an unserved manifest is a failing gate, not a pass
         sys.stderr.write(
-            "cspbatch: server rejected the manifest ({}): {}\n".format(
-                rejection.code, rejection.message
+            "{}: server rejected the manifest ({}): {}\n".format(
+                tool, rejection.code, rejection.message
             )
         )
         return EXIT_VIOLATION
-    counts = {}
+    summary = "{} via {}".format(verdict_tally(results), args.server)
+    return _emit_results(args, results, summary)
+
+
+def _emit_results(args, results: List[JobResult], summary: str) -> int:
+    """Canonical JSONL to stdout; failures, *summary* and stats to stderr."""
     for result in results:
-        counts[result.verdict] = counts.get(result.verdict, 0) + 1
         sys.stdout.write(result.canonical_line() + "\n")
         if not args.quiet and result.verdict != PASS:
             sys.stderr.write(result.summary() + "\n")
     if not args.quiet:
-        parts = ", ".join(
-            "{} {}".format(count, verdict)
-            for verdict, count in sorted(counts.items())
-        )
-        sys.stderr.write(
-            "{} jobs ({}) via {}\n".format(
-                len(results), parts if parts else "empty", args.server
-            )
-        )
+        sys.stderr.write(summary + "\n")
     if args.stats:
-        emit_stats(sorted(counts.items()))
+        emit_stats(sorted(verdict_counts(results).items()))
     ok = all(result.verdict == PASS for result in results)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -181,40 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.exit(EXIT_USAGE, "cspbatch: --jobs must be >= 0\n")
-    specs = _load_specs(args.manifest, parser)
-    if args.server is not None:
-        return _run_against_server(args, specs)
-    tracer = tracer_from_args(args)
-
-    cancel = threading.Event()
-    try:
-        report = run_batch(
-            specs,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            batch_timeout=args.batch_timeout,
-            cache_dir=args.cache_dir,
-            result_cache_dir=result_cache_dir_from_args(args),
-            obs=tracer if tracer.enabled else None,
-            cancel=cancel,
-            inline=args.jobs == 0,
-        )
-    except KeyboardInterrupt:
-        sys.stderr.write("cspbatch: interrupted\n")
-        return EXIT_VIOLATION
-
-    for result in report.results:
-        sys.stdout.write(result.canonical_line() + "\n")
-        if not args.quiet and result.verdict != PASS:
-            sys.stderr.write(result.summary() + "\n")
-    if not args.quiet:
-        sys.stderr.write(report.summary() + "\n")
-    if args.stats:
-        emit_stats(sorted(report.counts().items()))
-        if report.result_cache_stats is not None:
-            emit_stats(sorted(report.result_cache_stats.items()))
-    finish_observability(args, tracer, report.profile)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return run_checks(args, _load_specs(args.manifest, parser), "cspbatch")
 
 
 if __name__ == "__main__":

@@ -41,9 +41,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-# the execution core moved to repro.exec; re-exported because this module
-# defined it first and every mode's callers import it from here
-from ..exec.runtime import execute_cached, execute_spec, open_result_cache
+from ..exec.runtime import execute_cached, open_result_cache
 from ..exec.resultcache import ResultCache
 from ..exec.workers import failure_result
 from ..obs.profile import Profile, merge_profiles
@@ -84,19 +82,11 @@ class BatchReport:
         return all(result.verdict == PASS for result in self.results)
 
     def counts(self) -> Dict[str, int]:
-        tally: Dict[str, int] = {}
-        for result in self.results:
-            tally[result.verdict] = tally.get(result.verdict, 0) + 1
-        return tally
+        return verdict_counts(self.results)
 
     def summary(self) -> str:
-        parts = [
-            "{} {}".format(count, verdict)
-            for verdict, count in sorted(self.counts().items())
-        ]
-        return "{} jobs ({}) in {:.1f} ms on {} worker{}".format(
-            len(self.results),
-            ", ".join(parts) if parts else "empty",
+        return "{} in {:.1f} ms on {} worker{}".format(
+            verdict_tally(self.results),
             self.wall_ms,
             self.jobs,
             "" if self.jobs == 1 else "s",
@@ -104,6 +94,23 @@ class BatchReport:
 
     def __repr__(self) -> str:
         return "BatchReport({})".format(self.summary())
+
+
+def verdict_counts(results: Sequence[JobResult]) -> Dict[str, int]:
+    """How many of *results* carry each verdict."""
+    tally: Dict[str, int] = {}
+    for result in results:
+        tally[result.verdict] = tally.get(result.verdict, 0) + 1
+    return tally
+
+
+def verdict_tally(results: Sequence[JobResult]) -> str:
+    """``N jobs (k FAIL, m PASS)``: the head of every batch summary line."""
+    parts = [
+        "{} {}".format(count, verdict)
+        for verdict, count in sorted(verdict_counts(results).items())
+    ]
+    return "{} jobs ({})".format(len(results), ", ".join(parts) or "empty")
 
 
 def run_batch(

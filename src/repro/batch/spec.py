@@ -49,6 +49,7 @@ from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from ..csp.events import Event
 from ..csp.process import Environment, Process
+from ..engine.cache import reachable_bodies
 from ..fdr.refine import CheckResult
 
 #: manifest / wire format version
@@ -73,29 +74,21 @@ class ManifestError(ValueError):
 def reachable_bindings(env, *terms, bindings=None):
     """The named equations reachable from *terms*, bodies included.
 
-    Walks each term (and every body it pulls in) for
-    :class:`~repro.csp.process.ProcessRef` nodes and resolves them against
-    *env*, so the returned ``{name: body}`` mapping makes a spec document
-    self-contained -- the precondition for it to be a sound structural key.
-    This is the one implementation behind every spec-construction path:
-    ``cspcheck``'s memoisation documents, batch manifests written from
-    evaluated models, and rv trace specs.
+    The walk is the compilation cache's
+    (:func:`~repro.engine.cache.reachable_bodies`), so the returned
+    ``{name: body}`` mapping makes a spec document self-contained -- the
+    precondition for it to be a sound structural key.  Every
+    spec-construction path goes through here: ``cspcheck``'s memoisation
+    documents, batch manifests written from evaluated models, and rv trace
+    specs.
 
     Names already present in *bindings* (or unbound in *env*) are left
     alone; the caller decides whether an unresolved reference is an error.
     """
-    from ..csp.process import ProcessRef
-
     collected: Dict[str, Process] = dict(bindings or {})
-    stack = list(terms)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ProcessRef) and node.name not in collected:
-            if node.name in env:
-                body = env.resolve(node.name)
-                collected[node.name] = body
-                stack.append(body)
-        stack.extend(item for item in node._key() if isinstance(item, Process))
+    for name, body in reachable_bodies(env, terms, known=collected).items():
+        if body is not None:
+            collected[name] = body
     return collected
 
 

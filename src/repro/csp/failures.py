@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from .events import Alphabet, Event, TICK
-from .lts import LTS
+from .kernel import CompactLTS
 from .process import (
     Environment,
     ExternalChoice,
@@ -216,7 +216,7 @@ def _is_complete_merge(
 
 
 def lts_failures(
-    lts: LTS, sigma: Alphabet, max_length: int = 4
+    lts: CompactLTS, sigma: Alphabet, max_length: int = 4
 ) -> Set[Failure]:
     """The stable failures the operational semantics exhibits, bounded.
 

@@ -7,9 +7,8 @@ states.  The compiler deduplicates structurally equal process terms, so
 recursive definitions close back on themselves and the LTS is finite whenever
 the process is finite-state.
 
-The in-memory representation is the flat-array kernel of
-:mod:`repro.csp.kernel`: :data:`LTS` *is* :class:`~repro.csp.kernel.
-CompactLTS`, a CSR successor table over ``array('q')``.  The compiler below
+The compiled form is :class:`~repro.csp.kernel.CompactLTS`, the flat-array
+kernel: a CSR successor table over ``array('q')``.  The compiler below
 builds the arrays directly -- BFS expands states in id order, so each
 state's edge range lands contiguously and the offsets array falls out of the
 walk for free.
@@ -33,10 +32,6 @@ from .kernel import CompactLTS, StateId
 from .process import Environment, Process
 from .semantics import transitions as sos_transitions
 
-#: The one in-memory automaton form.  The name ``LTS`` is kept for the
-#: whole stack (and for history); the representation is the flat kernel.
-LTS = CompactLTS
-
 
 class StateSpaceLimitExceeded(RuntimeError):
     """Raised when exploration exceeds the configured state budget."""
@@ -57,7 +52,7 @@ def compile_lts(
     env: Optional[Environment] = None,
     max_states: int = DEFAULT_STATE_LIMIT,
     table: Optional[AlphabetTable] = None,
-) -> LTS:
+) -> CompactLTS:
     """Compile a process term into a finite LTS by exhaustive exploration.
 
     Structurally equal terms are merged into one state, which ties recursive
@@ -109,7 +104,7 @@ def compile_lts(
 
 
 def reachable_visible_traces(
-    lts: LTS, max_length: int
+    lts: CompactLTS, max_length: int
 ) -> Set[Tuple[Event, ...]]:
     """All visible traces (tick included) of length <= max_length.
 

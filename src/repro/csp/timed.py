@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .events import Alphabet, Event
-from .lts import LTS
+from .kernel import CompactLTS
 from .process import (
     Environment,
     ExternalChoice,
@@ -192,13 +192,13 @@ def timer_to_tock_monitor(
     return ProcessRef(label)
 
 
-def tockify_lts(lts: LTS) -> LTS:
+def tockify_lts(lts: CompactLTS) -> CompactLTS:
     """Add a tock self-loop to every state that does not already offer tock.
 
     The blunt 'time may always pass' conversion of an untimed LTS, useful
     for composing untimed components with timed specifications.
     """
-    timed = LTS()
+    timed = CompactLTS()
     for state in lts.iter_states():
         timed.add_state(lts.terms[state])
     timed.initial = lts.initial

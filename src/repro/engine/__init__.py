@@ -25,7 +25,7 @@ caller.  The pipeline owns four pieces:
 """
 
 from .cache import CompilationCache, reachable_bindings, structural_key
-from .diskcache import DISKCACHE_FORMAT_VERSION, DiskCache, key_digest
+from .diskcache import DiskCache
 from .pipeline import VerificationPipeline, shared_cache
 from .plan import (
     CompilationPlan,
@@ -41,13 +41,11 @@ __all__ = [
     "CompilationPlan",
     "CompiledAutomaton",
     "ComponentProvenance",
-    "DISKCACHE_FORMAT_VERSION",
     "DiskCache",
     "PreparedTerm",
     "ProductLTS",
     "VerificationPipeline",
     "component_provenance",
-    "key_digest",
     "reachable_bindings",
     "shared_cache",
     "structural_key",

@@ -11,10 +11,11 @@ implementation per iteration while the specification side stays put).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, Iterable, Optional, Tuple
 
 from ..csp.events import AlphabetTable
-from ..csp.lts import LTS, StateSpaceLimitExceeded
+from ..csp.kernel import CompactLTS
+from ..csp.lts import StateSpaceLimitExceeded
 from ..csp.process import Environment, Process, ProcessRef
 from ..fdr.normalise import NormalisedSpec
 from ..obs.trace import NULL_TRACER, Tracer
@@ -31,15 +32,24 @@ CompressedKey = Tuple[CacheKey, Tuple[str, ...]]
 _UNBOUND = "<unbound>"
 
 
-def reachable_bindings(
-    process: Process, env: Environment
-) -> Tuple[Tuple[str, str], ...]:
-    """The named equations reachable from *process*, with body fingerprints."""
+def reachable_bodies(
+    env: Environment, terms: Iterable[Process], known: Collection[str] = ()
+) -> Dict[str, Optional[Process]]:
+    """The named equations reachable from *terms*: name to body, None if unbound.
+
+    Walks each term, and every body it pulls in, for
+    :class:`~repro.csp.process.ProcessRef` nodes.  Names in *known* count
+    as resolved already: they are neither looked up nor walked.
+    """
     seen: Dict[str, Optional[Process]] = {}
-    stack = [process]
+    stack = list(terms)
     while stack:
         term = stack.pop()
-        if isinstance(term, ProcessRef) and term.name not in seen:
+        if (
+            isinstance(term, ProcessRef)
+            and term.name not in seen
+            and term.name not in known
+        ):
             if term.name in env:
                 body = env.resolve(term.name)
                 seen[term.name] = body
@@ -49,10 +59,17 @@ def reachable_bindings(
         stack.extend(
             item for item in term._key() if isinstance(item, Process)
         )
+    return seen
+
+
+def reachable_bindings(
+    process: Process, env: Environment
+) -> Tuple[Tuple[str, str], ...]:
+    """The named equations reachable from *process*, with body fingerprints."""
     return tuple(
         sorted(
             (name, body.fingerprint() if body is not None else _UNBOUND)
-            for name, body in seen.items()
+            for name, body in reachable_bodies(env, [process]).items()
         )
     )
 
@@ -81,7 +98,7 @@ class CompilationCache:
     """
 
     def __init__(self, disk: Optional[DiskCache] = None) -> None:
-        self._lts: Dict[CacheKey, LTS] = {}
+        self._lts: Dict[CacheKey, CompactLTS] = {}
         self._normalised: Dict[CacheKey, NormalisedSpec] = {}
         #: compressed component automata, keyed by (structural key, pass
         #: config) -- the same component checked under different pass lists
@@ -109,7 +126,7 @@ class CompilationCache:
         key: CacheKey,
         max_states: int,
         table: Optional[AlphabetTable] = None,
-    ) -> Optional[LTS]:
+    ) -> Optional[CompactLTS]:
         cached = self._lts.get(key)
         if cached is None and self.disk is not None:
             cached = self.disk.get_lts(key, table=table)
@@ -132,7 +149,7 @@ class CompilationCache:
             self._record("lts", True)
         return cached
 
-    def put_lts(self, key: CacheKey, lts: LTS) -> None:
+    def put_lts(self, key: CacheKey, lts: CompactLTS) -> None:
         self._lts[key] = lts
         if self.disk is not None:
             self.disk.put_lts(key, lts)

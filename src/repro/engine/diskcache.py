@@ -57,11 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..csp.events import AlphabetTable, Event
 from ..csp.kernel import CompactLTS
-from ..csp.lts import LTS
-
-# the layout version and key digest live with every other structural key in
-# repro.exec.keys; re-exported here because this module defined them first
-from ..exec.keys import DISKCACHE_FORMAT_VERSION, lts_key_digest as key_digest
+from ..exec.keys import DISKCACHE_FORMAT_VERSION, lts_key_digest
 
 #: on-disk entry suffix (v2 binary layout); v1 used ``.json``
 ENTRY_SUFFIX = ".ltsb"
@@ -109,7 +105,7 @@ def _array_from_le(raw: bytes) -> array:
     return arr
 
 
-def _entry_bytes(key, passes: Tuple[str, ...], lts: LTS) -> bytes:
+def _entry_bytes(key, passes: Tuple[str, ...], lts: CompactLTS) -> bytes:
     offsets, events, targets = lts.csr_arrays()
     used: List[int] = []
     seen = set()
@@ -144,7 +140,7 @@ def _entry_bytes(key, passes: Tuple[str, ...], lts: LTS) -> bytes:
 
 def _lts_of(
     header: Dict[str, object], body: bytes, table: Optional[AlphabetTable]
-) -> LTS:
+) -> CompactLTS:
     states = header["states"]
     transitions = header["transitions"]
     if not isinstance(states, int) or not isinstance(transitions, int):
@@ -219,7 +215,7 @@ class DiskCache:
 
     def path_of(self, key, passes: Tuple[str, ...] = ()) -> str:
         return os.path.join(
-            self.directory, key_digest(key, passes) + ENTRY_SUFFIX
+            self.directory, lts_key_digest(key, passes) + ENTRY_SUFFIX
         )
 
     def __len__(self) -> int:
@@ -236,7 +232,7 @@ class DiskCache:
         key,
         passes: Tuple[str, ...] = (),
         table: Optional[AlphabetTable] = None,
-    ) -> Optional[LTS]:
+    ) -> Optional[CompactLTS]:
         """The stored LTS for *key*, re-interned into *table*, or None.
 
         Any defect in the entry -- unreadable file, bad header, version
@@ -279,7 +275,7 @@ class DiskCache:
 
     # -- writes --------------------------------------------------------------
 
-    def put_lts(self, key, lts: LTS, passes: Tuple[str, ...] = ()) -> bool:
+    def put_lts(self, key, lts: CompactLTS, passes: Tuple[str, ...] = ()) -> bool:
         """Persist *lts* under *key*; returns False if the write failed.
 
         The entry is staged in a temporary file in the cache directory and

@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..csp.events import AlphabetTable
-from ..csp.lts import DEFAULT_STATE_LIMIT, LTS, compile_lts
+from ..csp.kernel import CompactLTS
+from ..csp.lts import DEFAULT_STATE_LIMIT, compile_lts
 from ..csp.process import Environment, Process
 from ..fdr.normalise import NormalisedSpec, normalise
 from ..fdr.refine import (
@@ -78,7 +79,7 @@ class VerificationPipeline:
 
     # -- compilation ---------------------------------------------------------
 
-    def compile(self, process: Process, max_states: Optional[int] = None) -> LTS:
+    def compile(self, process: Process, max_states: Optional[int] = None) -> CompactLTS:
         """Compile *process* through the cache, in the pipeline's id space."""
         limit = self.max_states if max_states is None else max_states
         key = structural_key(process, self.env)

@@ -37,7 +37,8 @@ import hashlib
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..csp.events import Event
-from ..csp.lts import LTS, StateId, StateSpaceLimitExceeded
+from ..csp.kernel import CompactLTS, StateId
+from ..csp.lts import StateSpaceLimitExceeded
 from ..csp.process import (
     CompiledProcess,
     Environment,
@@ -90,10 +91,10 @@ class CompiledAutomaton:
         self,
         label: str,
         token: str,
-        lts: LTS,
+        lts: CompactLTS,
         provenance: StateProvenance,
         stats: Tuple[PassStats, ...],
-        source: Optional[LTS],
+        source: Optional[CompactLTS],
     ) -> None:
         self.label = label
         self.token = token

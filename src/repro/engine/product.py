@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..csp.events import AlphabetTable, TAU_ID, TICK_ID
-from ..csp.lts import DEFAULT_STATE_LIMIT, StateId
+from ..csp.kernel import StateId
+from ..csp.lts import DEFAULT_STATE_LIMIT
 from ..csp.process import (
     CompiledProcess,
     GenParallel,

@@ -25,6 +25,10 @@ one layer all three now route through:
   ``cspbatch`` runs alike), and the shared failure-verdict constructors (worker death → ``ERROR``, deadline →
   ``TIMEOUT``, cancellation → ``CANCELLED``).
 
+The package exports nothing itself: import each name from its submodule.
+The submodules read the wire format from :mod:`repro.batch.spec`, which
+imports nothing back, so any entry order is acyclic.
+
 Soundness before availability, exactly like the LTS
 :class:`~repro.engine.diskcache.DiskCache`: cache keys include the result
 format version, the engine semantics version and the full pass
@@ -32,62 +36,3 @@ configuration; entries are validated on read and quarantined on any
 defect; and only deterministic verdicts (``PASS``/``FAIL``) are ever
 persisted.
 """
-
-from importlib import import_module
-
-# keys is dependency-free (stdlib only), so it loads eagerly: the engine's
-# disk cache imports its digest while this package initialises.  The other
-# submodules depend on repro.batch -- whose executor depends back on
-# .runtime -- so their facade names resolve lazily (PEP 562) to keep the
-# import graph acyclic in either entry order.
-from .keys import (
-    ENGINE_SEMANTICS_VERSION,
-    RESULT_FORMAT_VERSION,
-    lts_key_digest,
-    result_key_digest,
-    strip_label,
-    structural_key,
-)
-
-_LAZY = {
-    "ResultCache": "resultcache",
-    "execute_cached": "runtime",
-    "execute_spec": "runtime",
-    "open_result_cache": "runtime",
-    "resolve_result_cache_dir": "runtime",
-    "failure_result": "workers",
-    "persistent_worker_main": "workers",
-}
-
-
-def __getattr__(name):
-    try:
-        submodule = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            "module {!r} has no attribute {!r}".format(__name__, name)
-        ) from None
-    value = getattr(import_module("." + submodule, __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-
-__all__ = [
-    "ENGINE_SEMANTICS_VERSION",
-    "RESULT_FORMAT_VERSION",
-    "ResultCache",
-    "execute_cached",
-    "execute_spec",
-    "failure_result",
-    "lts_key_digest",
-    "open_result_cache",
-    "persistent_worker_main",
-    "resolve_result_cache_dir",
-    "result_key_digest",
-    "strip_label",
-    "structural_key",
-]

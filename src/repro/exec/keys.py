@@ -55,8 +55,7 @@ ENGINE_SEMANTICS_VERSION = 1
 RESULT_FORMAT_VERSION = 1
 
 #: bump when the ``.ltsb`` entry layout changes; readers ignore other
-#: versions (moved here from :mod:`repro.engine.diskcache`, which
-#: re-exports it -- the key material and the layout version live together)
+#: versions (it lives with the key material it is folded into)
 DISKCACHE_FORMAT_VERSION = 2
 
 

@@ -24,7 +24,7 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..csp.events import AlphabetTable, Event, TAU_ID
-from ..csp.lts import LTS, StateId
+from ..csp.kernel import CompactLTS, StateId
 
 NodeId = int
 
@@ -95,14 +95,14 @@ class NormalisedSpec:
             bits & ~offered_bits == 0 for bits in self.acceptance_bits[node]
         )
 
-    def as_lts(self) -> LTS:
+    def as_lts(self) -> CompactLTS:
         """View the normalised automaton as a (deterministic, tau-free) LTS.
 
         Shares this spec's alphabet table.  Used by the quickcheck oracle
         that checks normalisation is idempotent at the trace level:
         re-normalising ``as_lts()`` must not change the trace behaviour.
         """
-        lts = LTS(self.table)
+        lts = CompactLTS(self.table)
         for _ in range(self.node_count):
             lts.add_state()
         for node, row in enumerate(self.afters_ids):
@@ -140,7 +140,7 @@ def minimal_bitsets(sets: Set[int], table: AlphabetTable) -> Tuple[int, ...]:
     return tuple(kept)
 
 
-def tau_cycle_states(lts: LTS) -> FrozenSet[StateId]:
+def tau_cycle_states(lts: CompactLTS) -> FrozenSet[StateId]:
     """States lying on a cycle of tau transitions (divergent states).
 
     Uses Tarjan's SCC algorithm restricted to tau edges; a state diverges if
@@ -214,7 +214,7 @@ def tau_cycle_states(lts: LTS) -> FrozenSet[StateId]:
     return frozenset(divergent)
 
 
-def normalise(lts: LTS, obs=None) -> NormalisedSpec:
+def normalise(lts: CompactLTS, obs=None) -> NormalisedSpec:
     """Normalise an LTS: tau-closure plus subset construction with acceptances.
 
     With an enabled tracer as *obs*, records the subset-construction blowup

@@ -34,7 +34,8 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..csp.events import AlphabetTable, Event, TAU_ID, TICK_ID
-from ..csp.lts import DEFAULT_STATE_LIMIT, LTS, StateId, StateSpaceLimitExceeded
+from ..csp.kernel import CompactLTS, StateId
+from ..csp.lts import DEFAULT_STATE_LIMIT, StateSpaceLimitExceeded
 from ..csp.process import Environment, Process
 from ..csp.semantics import transitions as sos_transitions
 from ..obs.trace import NULL_TRACER, Tracer
@@ -220,7 +221,7 @@ class LazyImplementation(OnTheFlyLTS):
 
 #: Anything the product search can drive on the implementation side: a
 #: compiled kernel, a lazy SOS expansion, or an on-the-fly product view.
-Implementation = Union[LTS, OnTheFlyLTS]
+Implementation = Union[CompactLTS, OnTheFlyLTS]
 
 
 def _attach_impl_state(
@@ -457,12 +458,16 @@ def check_failures_refinement_from(
     return search.check(name, on_pair=search.stable_failure)
 
 
-def check_trace_refinement(spec: LTS, impl: LTS, name: str = "Spec [T= Impl") -> CheckResult:
+def check_trace_refinement(
+    spec: CompactLTS, impl: CompactLTS, name: str = "Spec [T= Impl"
+) -> CheckResult:
     """Decide ``Spec ⊑T Impl`` (traces(Impl) ⊆ traces(Spec))."""
     return check_trace_refinement_from(normalise(spec), impl, name)
 
 
-def check_failures_refinement(spec: LTS, impl: LTS, name: str = "Spec [F= Impl") -> CheckResult:
+def check_failures_refinement(
+    spec: CompactLTS, impl: CompactLTS, name: str = "Spec [F= Impl"
+) -> CheckResult:
     """Decide ``Spec ⊑F Impl`` in the stable-failures model.
 
     Traces must refine, and every stable implementation state must offer a
@@ -473,7 +478,7 @@ def check_failures_refinement(spec: LTS, impl: LTS, name: str = "Spec [F= Impl")
 
 def check_fd_refinement_from(
     normalised: NormalisedSpec,
-    impl: LTS,
+    impl: CompactLTS,
     name: str = "Spec [FD= Impl",
     obs: Tracer = NULL_TRACER,
 ) -> CheckResult:
@@ -502,7 +507,7 @@ def check_fd_refinement_from(
     )
 
 
-def _bfs_with_parents(lts: LTS):
+def _bfs_with_parents(lts: CompactLTS):
     """BFS over a single LTS yielding parent pointers for trace reconstruction."""
     parents: Dict[StateId, Tuple[Optional[StateId], Optional[int]]] = {
         lts.initial: (None, None)
@@ -542,7 +547,7 @@ def _emit_walk_metrics(obs: Tracer, states: int, transitions: int) -> None:
 
 
 def check_deadlock_free(
-    lts: LTS, name: str = "deadlock free", obs: Tracer = NULL_TRACER
+    lts: CompactLTS, name: str = "deadlock free", obs: Tracer = NULL_TRACER
 ) -> CheckResult:
     """No reachable state refuses everything (termination does not count)."""
     parents, order = _bfs_with_parents(lts)
@@ -570,7 +575,7 @@ def check_deadlock_free(
 
 
 def check_divergence_free(
-    lts: LTS, name: str = "divergence free", obs: Tracer = NULL_TRACER
+    lts: CompactLTS, name: str = "divergence free", obs: Tracer = NULL_TRACER
 ) -> CheckResult:
     """No reachable cycle of tau transitions (no livelock)."""
     divergent = tau_cycle_states(lts)
@@ -599,7 +604,7 @@ def check_divergence_free(
 
 
 def check_deterministic(
-    lts: LTS, name: str = "deterministic", obs: Tracer = NULL_TRACER
+    lts: CompactLTS, name: str = "deterministic", obs: Tracer = NULL_TRACER
 ) -> CheckResult:
     """FDR's determinism check in the stable-failures sense.
 

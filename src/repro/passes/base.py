@@ -30,14 +30,14 @@ from collections import deque
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..csp.events import TICK_ID
-from ..csp.lts import LTS, StateId
+from ..csp.kernel import CompactLTS, StateId
 
 #: semantic models, weakest to strongest; a pass preserving "FD" preserves
 #: everything below it
 _MODEL_RANK = {"T": 0, "F": 1, "FD": 2}
 
 
-def terminated_states(lts: LTS) -> FrozenSet[StateId]:
+def terminated_states(lts: CompactLTS) -> FrozenSet[StateId]:
     """States that are the target of a tick -- the successfully-terminated
     states.
 
@@ -128,7 +128,7 @@ class StateProvenance:
 class PassResult(NamedTuple):
     """One applied pass: the rewritten LTS, its provenance, its stats."""
 
-    lts: LTS
+    lts: CompactLTS
     provenance: StateProvenance
     stats: PassStats
 
@@ -146,13 +146,13 @@ class LtsPass:
     name: str = "pass"
     preserves: str = "FD"
 
-    def rewrite(self, lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
+    def rewrite(self, lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
         raise NotImplementedError
 
     def safe_for(self, model: str) -> bool:
         return _MODEL_RANK[self.preserves] >= _MODEL_RANK[model]
 
-    def apply(self, lts: LTS) -> PassResult:
+    def apply(self, lts: CompactLTS) -> PassResult:
         started = time.perf_counter()
         rewritten, new_to_old = self.rewrite(lts)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -171,8 +171,8 @@ class LtsPass:
 
 
 def apply_passes(
-    lts: LTS, passes: Sequence[LtsPass], obs=None
-) -> Tuple[LTS, StateProvenance, Tuple[PassStats, ...]]:
+    lts: CompactLTS, passes: Sequence[LtsPass], obs=None
+) -> Tuple[CompactLTS, StateProvenance, Tuple[PassStats, ...]]:
     """Run a pass sequence; the result's provenance maps back to *lts*.
 
     With an enabled tracer as *obs*, each pass runs inside a ``compress``
@@ -205,8 +205,8 @@ def apply_passes(
 
 
 def bfs_renumber(
-    lts: LTS, rep_of: Optional[Sequence[StateId]] = None
-) -> Tuple[LTS, Tuple[StateId, ...]]:
+    lts: CompactLTS, rep_of: Optional[Sequence[StateId]] = None
+) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
     """Renumber states by BFS order from the root; drop unreachable states.
 
     Edge order within each state is preserved, so exploration order -- and
@@ -219,7 +219,7 @@ def bfs_renumber(
     Returns the new LTS and the new-to-old map (each new state maps to the
     representative it was built from).
     """
-    renumbered = LTS(lts.table)
+    renumbered = CompactLTS(lts.table)
     if lts.state_count == 0:
         renumbered.add_state(None)
         return renumbered, (0,)

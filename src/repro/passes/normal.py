@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..csp.lts import LTS, StateId
+from ..csp.kernel import CompactLTS, StateId
 from .base import LtsPass, bfs_renumber, register_pass
 
 
@@ -26,7 +26,7 @@ class NormalPass(LtsPass):
     name = "normal"
     preserves = "T"
 
-    def rewrite(self, lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
+    def rewrite(self, lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
         # imported lazily: repro.fdr pulls in the engine, which imports this
         # package -- a module-level import would be circular
         from ..fdr.normalise import normalise

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..csp.events import TAU_ID
-from ..csp.lts import LTS, StateId
+from ..csp.kernel import CompactLTS, StateId
 from .base import LtsPass, bfs_renumber, register_pass, terminated_states
 
 
@@ -36,11 +36,11 @@ class DeadStatesPass(LtsPass):
     name = "dead"
     preserves = "FD"
 
-    def rewrite(self, lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
+    def rewrite(self, lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
         return bfs_renumber(lts)
 
 
-def tau_scc_of(lts: LTS) -> List[int]:
+def tau_scc_of(lts: CompactLTS) -> List[int]:
     """Tarjan over tau transitions only: state -> tau-SCC id (iterative)."""
     count = lts.state_count
     unvisited = -1
@@ -105,7 +105,7 @@ class TauLoopPass(LtsPass):
     name = "tau_loop"
     preserves = "FD"
 
-    def rewrite(self, lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
+    def rewrite(self, lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
         if lts.state_count == 0:
             return bfs_renumber(lts)
         scc_of = tau_scc_of(lts)
@@ -121,7 +121,7 @@ class TauLoopPass(LtsPass):
         # the collapsed component needs the *union* of member transitions
         # (members differ; any of them is silently reachable from any other),
         # gathered in ascending member order so output order is stable
-        collapsed = LTS(lts.table)
+        collapsed = CompactLTS(lts.table)
         state_of: dict = {}
         members: dict = {}
         for state in range(lts.state_count):
@@ -160,7 +160,7 @@ class DiamondPass(LtsPass):
     name = "diamond"
     preserves = "FD"
 
-    def rewrite(self, lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
+    def rewrite(self, lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
         count = lts.state_count
         if count == 0:
             return bfs_renumber(lts)

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Tuple
 
-from ..csp.lts import LTS, StateId
+from ..csp.kernel import CompactLTS, StateId
 from .base import LtsPass, bfs_renumber, register_pass, terminated_states
 
 Signature = FrozenSet[Tuple[int, int]]
 
 
-def bisimulation_classes(lts: LTS) -> List[FrozenSet[StateId]]:
+def bisimulation_classes(lts: CompactLTS) -> List[FrozenSet[StateId]]:
     """The coarsest strong-bisimulation partition of the LTS states.
 
     Returned in deterministic order (sorted by smallest member).  Worst
@@ -123,7 +123,7 @@ def block_index(classes: List[FrozenSet[StateId]], count: int) -> List[int]:
     return index
 
 
-def minimise(lts: LTS) -> LTS:
+def minimise(lts: CompactLTS) -> CompactLTS:
     """Quotient the LTS by strong bisimulation.
 
     The result is strongly bisimilar to the input, hence equivalent in
@@ -134,7 +134,7 @@ def minimise(lts: LTS) -> LTS:
     return minimised
 
 
-def quotient(lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
+def quotient(lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
     """``minimise`` plus the new-to-old representative map."""
     if lts.state_count == 0:
         return bfs_renumber(lts)
@@ -153,7 +153,7 @@ class SbisimPass(LtsPass):
     name = "sbisim"
     preserves = "FD"
 
-    def rewrite(self, lts: LTS) -> Tuple[LTS, Tuple[StateId, ...]]:
+    def rewrite(self, lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
         return quotient(lts)
 
 

@@ -410,7 +410,7 @@ def check_batch(value) -> None:
     Runs the same checks twice: directly through a pipeline, and as
     :class:`~repro.batch.spec.CheckSpec` documents round-tripped through
     the manifest encoding and discharged by
-    :func:`~repro.batch.executor.execute_spec` (the sequential reference
+    :func:`~repro.exec.runtime.execute_spec` (the sequential reference
     the pooled executor is itself held to).  Verdicts and counterexample
     traces must agree.
     """
@@ -444,8 +444,8 @@ def check_batch(value) -> None:
 
 
 def _execute_roundtripped(check_spec):
-    from ..batch.executor import execute_spec
     from ..batch.spec import CheckSpec
+    from ..exec.runtime import execute_spec
 
     return execute_spec(CheckSpec.from_doc(check_spec.to_doc()))
 

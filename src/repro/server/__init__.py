@@ -27,7 +27,6 @@ from .protocol import (
     DEFAULT_TENANT,
     Rejection,
     SERVER_PROTOCOL_VERSION,
-    structural_key,
 )
 from .stdio import serve_stdio
 
@@ -41,5 +40,4 @@ __all__ = [
     "Ticket",
     "VerificationServer",
     "serve_stdio",
-    "structural_key",
 ]

@@ -58,6 +58,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from ..batch.spec import CANCELLED, CheckSpec, ERROR, JobResult, ManifestError, TIMEOUT
+from ..exec.keys import strip_label, structural_key
 from ..exec.runtime import open_result_cache
 from ..exec.workers import failure_result, persistent_worker_main
 from ..obs.metrics import Metrics
@@ -72,10 +73,7 @@ from .protocol import (
     QUEUE_FULL,
     QUOTA,
     Rejection,
-    rejection_response,
     result_response,
-    strip_label,
-    structural_key,
 )
 
 #: how long the scheduler sleeps with nothing to watch (seconds)

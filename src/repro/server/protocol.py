@@ -1,4 +1,4 @@
-"""The server wire protocol: request/response documents and structural keys.
+"""The server wire protocol: request and response documents.
 
 One protocol serves both transports.  A **request** is a JSON object with an
 ``op`` (``check``, ``ping``, ``stats``, ``shutdown``); a ``check`` request
@@ -15,7 +15,7 @@ status codes (:data:`HTTP_STATUS_OF`): full queues and exceeded quotas are
 ``429`` (retryable -- the CI-gate client shape retries or fails closed),
 malformed specs ``400``, oversize ones ``413``, a draining server ``503``.
 
-Dedup is keyed here too: :func:`structural_key` is the SHA-256 of the
+Dedup is keyed by :func:`~repro.exec.keys.structural_key`, the SHA-256 of the
 spec document with its ``id`` label stripped, so two requests that mean the
 same check -- regardless of who submitted them or what they called it --
 hash identically and can share one execution.  The ``name`` field *does*
@@ -178,12 +178,3 @@ def rejection_response(
 
 def response_line(doc: Dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True)
-
-
-# -- dedup keys ---------------------------------------------------------------
-
-# Defined here first; the computation now lives in repro.exec.keys so the
-# in-flight dedup table, the LTS disk cache and the result cache all share
-# one identity.  Re-exported because the server API (and its clients'
-# tests) import them from the protocol module.
-from ..exec.keys import strip_label, structural_key  # noqa: E402,F401

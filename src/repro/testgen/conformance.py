@@ -14,13 +14,13 @@ regression suite, the 'systematic security testing' of the paper's abstract.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..canbus import CanBus, CanFrame, Scheduler
 from ..capl import CaplNode
 from ..capl.interpreter import MessageSpec
 from ..csp.events import Event
-from ..csp.lts import LTS
+from ..csp.kernel import CompactLTS
 from ..csp.process import Environment, Process
 from ..csp.traces import format_trace
 from ..engine.pipeline import VerificationPipeline, shared_cache
@@ -73,7 +73,7 @@ def run_test(
     ecu_source: str,
     test: Trace,
     message_specs: Mapping[str, MessageSpec],
-    spec_lts: LTS,
+    spec_lts: CompactLTS,
     in_channel: str = "send",
     out_channel: str = "rec",
 ) -> TestVerdict:

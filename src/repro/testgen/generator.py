@@ -22,7 +22,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from ..csp.events import Event
-from ..csp.lts import LTS
+from ..csp.kernel import CompactLTS
 from ..csp.process import Environment, Process
 from ..fdr.normalise import NodeId, NormalisedSpec, normalise
 
@@ -32,7 +32,7 @@ Trace = Tuple[Event, ...]
 def _normalised(model, env: Optional[Environment]) -> NormalisedSpec:
     if isinstance(model, NormalisedSpec):
         return model
-    if isinstance(model, LTS):
+    if isinstance(model, CompactLTS):
         return normalise(model)
     if isinstance(model, Process):
         from ..engine.pipeline import VerificationPipeline, shared_cache

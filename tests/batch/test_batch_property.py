@@ -8,7 +8,8 @@ counts stay small because every pooled case forks real processes.
 
 import random
 
-from repro.batch import CheckSpec, run_batch
+from repro.batch import CheckSpec
+from repro.batch.executor import run_batch
 from repro.csp import event
 from repro.quickcheck import for_all, process_terms, sampled_from, tuples
 from repro.quickcheck.oracles import ORACLES

@@ -3,9 +3,11 @@
 import pytest
 
 from repro import api
-from repro.batch import CheckSpec, execute_spec, requirement_specs, run_batch
+from repro.batch import CheckSpec, requirement_specs
+from repro.batch.executor import run_batch
 from repro.csp.events import Event
 from repro.csp.process import Prefix, ProcessRef, Stop
+from repro.exec.runtime import execute_spec
 
 A, B, C = Event("a"), Event("b"), Event("c")
 

@@ -10,7 +10,8 @@ untouched.
 import threading
 import time
 
-from repro.batch import CheckSpec, run_batch
+from repro.batch import CheckSpec
+from repro.batch.executor import run_batch
 
 
 def test_mixed_faults_isolate_per_job():

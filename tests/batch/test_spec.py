@@ -157,3 +157,24 @@ class TestManifest:
         specs = requirement_specs()
         assert [s.req_id for s in specs] == ["R01", "R02", "R03", "R04", "R05"]
         assert [s.req_id for s in requirement_specs(["R05", "R01"])] == ["R05", "R01"]
+
+
+def test_reachable_bindings_walk_matches_the_cache_key():
+    from repro.batch.spec import reachable_bindings
+    from repro.csp.process import Environment, ExternalChoice
+    from repro.engine.cache import reachable_bindings as key_bindings
+
+    env = Environment()
+    env.bind("P", Prefix(A, ProcessRef("Q")))
+    env.bind("Q", ExternalChoice(Prefix(B, ProcessRef("P")), ProcessRef("MISSING")))
+    env.bind("UNUSED", Stop())
+    root = Prefix(B, ProcessRef("P"))
+    bodies = reachable_bindings(env, root)
+    assert set(bodies) == {"P", "Q"}
+    assert key_bindings(root, env) == (
+        ("MISSING", "<unbound>"),
+        ("P", bodies["P"].fingerprint()),
+        ("Q", bodies["Q"].fingerprint()),
+    )
+    # a caller-supplied binding is kept as given and not walked
+    assert reachable_bindings(env, root, bindings={"P": Stop()}) == {"P": Stop()}

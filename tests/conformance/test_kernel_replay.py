@@ -10,7 +10,7 @@ adopted straight from the binary disk-cache arrays.
 import json
 import os
 
-from repro.batch import run_batch
+from repro.batch.executor import run_batch
 from repro.csp.kernel import CompactLTS
 
 from .test_conformance import CASE_FILES, canonical_bytes, expected_bytes, load_case

@@ -10,7 +10,7 @@ the non-selftest cases answer as hits without re-verifying.
 
 import os
 
-from repro.batch import run_batch
+from repro.batch.executor import run_batch
 from repro.exec.resultcache import RESULT_SUFFIX, cacheable
 from repro.server import VerificationServer
 from repro.server.client import ServerClient

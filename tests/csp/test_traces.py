@@ -189,6 +189,14 @@ class TestOperationalDenotationalAgreement:
             ref("P"), env, max_length=4
         )
 
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_nested_hiding_is_not_cut_short(self, bound):
+        # the inner hiding must keep <a, ✓> for the outer one to shorten
+        process = Hiding(Hiding(Prefix(A, SKIP), Alphabet()), Alphabet.of(A))
+        denotational = denotational_traces(process, max_length=bound)
+        assert denotational == {(), (TICK,)}
+        assert denotational == reachable_visible_traces(compile_lts(process), bound)
+
 
 class TestTraceRefinement:
     def test_refines_when_subset(self):

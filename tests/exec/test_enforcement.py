@@ -1,11 +1,15 @@
 """The refactor's contract, enforced: batch and server no longer carry
 their own spec-execution or key-computation code -- both import it from
 :mod:`repro.exec` -- there is one worker model, the server's persistent
-workers, and one route into the refinement search.  These tests are the
-tripwire against the copies quietly growing back."""
+workers, one route into the refinement search, and one home per name (no
+package or module re-exports a name another module defines).  These tests
+are the tripwire against the copies quietly growing back."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +23,10 @@ import repro.server.protocol as protocol
 
 
 def test_batch_executor_delegates_execution():
-    assert batch_executor.execute_spec is runtime.execute_spec
+    assert batch_executor.execute_cached is runtime.execute_cached
+    assert batch_executor.open_result_cache is runtime.open_result_cache
+    # the sequential reference is imported from repro.exec.runtime only
+    assert not hasattr(batch_executor, "execute_spec")
 
 
 def test_batch_executor_owns_no_execution_helpers():
@@ -40,7 +47,6 @@ def test_one_worker_model():
 
     assert not hasattr(workers, "oneshot_worker_main")
     assert not hasattr(batch_executor, "_Running")
-    assert "oneshot_worker_main" not in exec_pkg.__all__
     assert "oneshot_worker_main" not in dir(exec_pkg)
 
 
@@ -63,33 +69,71 @@ def test_one_refinement_route():
 
 
 def test_server_protocol_delegates_keys():
-    assert protocol.structural_key is keys.structural_key
-    assert protocol.strip_label is keys.strip_label
+    assert server_core.structural_key is keys.structural_key
+    assert server_core.strip_label is keys.strip_label
+    for gone in ("structural_key", "strip_label"):
+        assert not hasattr(protocol, gone), gone
 
 
 def test_diskcache_delegates_keys():
-    assert diskcache.key_digest is keys.lts_key_digest
+    assert diskcache.lts_key_digest is keys.lts_key_digest
     assert diskcache.DISKCACHE_FORMAT_VERSION is keys.DISKCACHE_FORMAT_VERSION
+    assert not hasattr(diskcache, "key_digest")
 
 
 def test_exec_facade_lazily_exposes_the_runtime():
+    """The runtime is reached as the submodule ``repro.exec.runtime`` only:
+    the package re-exports none of its names and loads it on no one's behalf."""
     import repro.exec as exec_pkg
 
-    assert exec_pkg.execute_spec is runtime.execute_spec
-    assert exec_pkg.execute_cached is runtime.execute_cached
-    assert exec_pkg.structural_key is keys.structural_key
-    assert "ResultCache" in dir(exec_pkg)
+    assert exec_pkg.runtime is runtime
+    assert exec_pkg.keys is keys
+    assert not hasattr(exec_pkg, "__all__")
+    for gone in ("execute_spec", "execute_cached", "structural_key", "ResultCache"):
+        assert not hasattr(exec_pkg, gone), gone
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.exec; print('repro.exec.runtime' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
 
 
 def test_exec_facade_rejects_unknown_names():
     import repro.exec as exec_pkg
 
-    try:
+    assert not hasattr(exec_pkg, "__getattr__")
+    with pytest.raises(AttributeError):
         exec_pkg.no_such_symbol
-    except AttributeError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("expected AttributeError")
+    with pytest.raises(AttributeError):
+        exec_pkg.execute_spec
+
+
+#: names that used to resolve through a re-export; each has one home now
+GONE = [
+    ("repro.exec", "execute_spec"),
+    ("repro.batch", "execute_spec"),
+    ("repro.batch", "run_batch"),
+    ("repro.batch", "BatchReport"),
+    ("repro.batch.executor", "execute_spec"),
+    ("repro.engine", "key_digest"),
+    ("repro.engine", "DISKCACHE_FORMAT_VERSION"),
+    ("repro.engine.diskcache", "key_digest"),
+    ("repro.server", "structural_key"),
+    ("repro.server.protocol", "structural_key"),
+    ("repro.server.protocol", "strip_label"),
+    ("repro.csp", "LTS"),
+    ("repro.csp.lts", "LTS"),
+]
+
+
+@pytest.mark.parametrize("module,name", GONE, ids=[".".join(g) for g in GONE])
+def test_reexported_name_is_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
 
 
 def test_api_execute_check_routes_through_the_runtime(tmp_path):

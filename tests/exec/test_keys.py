@@ -139,11 +139,14 @@ def test_result_material_wraps_versions_around_the_spec():
 
 
 def test_delegating_modules_share_this_implementation():
-    # the satellite's point: one copy of the key code, everyone calls it
+    # one copy of the key code, everyone imports it from repro.exec.keys
     from repro.engine import diskcache
-    from repro.server import protocol
+    from repro.server import core, protocol
 
-    assert protocol.structural_key is structural_key
-    assert protocol.strip_label is strip_label
-    assert diskcache.key_digest is lts_key_digest
+    assert core.structural_key is structural_key
+    assert core.strip_label is strip_label
+    assert not hasattr(protocol, "structural_key")
+    assert not hasattr(protocol, "strip_label")
+    assert diskcache.lts_key_digest is lts_key_digest
     assert diskcache.DISKCACHE_FORMAT_VERSION is DISKCACHE_FORMAT_VERSION
+    assert not hasattr(diskcache, "key_digest")

@@ -88,11 +88,11 @@ class TestMinimise:
         assert 0 < ratio <= 1.0
 
     def test_empty_ratio_guard(self):
-        from repro.csp.lts import LTS
+        from repro.csp.kernel import CompactLTS
 
         # an LTS with no states has no classes to quotient by
-        assert bisimulation_classes(LTS()) == []
-        minimised = minimise(LTS())
+        assert bisimulation_classes(CompactLTS()) == []
+        minimised = minimise(CompactLTS())
         assert minimised.state_count <= 1
         assert minimised.transition_count == 0
 

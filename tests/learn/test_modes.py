@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.batch import run_batch
+from repro.batch.executor import run_batch
 from repro.batch.spec import PASS
 from repro.csp.lts import compile_lts
 from repro.exec.resultcache import ResultCache

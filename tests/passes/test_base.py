@@ -4,7 +4,7 @@ import pytest
 
 from repro.csp import SKIP, STOP, Prefix, compile_lts, event
 from repro.csp.events import TAU_ID, AlphabetTable
-from repro.csp.lts import LTS
+from repro.csp.kernel import CompactLTS
 from repro.passes import (
     DEFAULT_PASS_NAMES,
     PASSES,
@@ -86,7 +86,7 @@ def _tau_chain_lts():
     """0 --tau--> 1 --a--> 2, plus an unreachable state 3."""
     table = AlphabetTable()
     a_id = table.intern(A)
-    lts = LTS(table)
+    lts = CompactLTS(table)
     for _ in range(4):
         lts.add_state()
     lts.initial = 0
