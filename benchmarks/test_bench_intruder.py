@@ -12,7 +12,7 @@ Who wins and where the attacks fall is the reproduction target; the
 benchmark times the full three-row analysis.
 """
 
-from repro.fdr import trace_refinement
+from repro.engine.pipeline import VerificationPipeline
 from repro.ota import build_secured_system, injective_agreement_check
 from repro.security.properties import never_occurs
 
@@ -22,10 +22,10 @@ def analyse(protection):
     integrity_spec = never_occurs(
         secured.forbidden_applies, secured.alphabet, secured.env
     )
-    integrity = trace_refinement(
+    integrity = VerificationPipeline(secured.env).refinement(
         integrity_spec,
         secured.attacked_system,
-        secured.env,
+        "T",
         "no unauthorised apply [{}]".format(protection),
     )
     agreement = injective_agreement_check(build_secured_system(protection))

@@ -9,7 +9,7 @@ C forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 
@@ -239,14 +239,19 @@ class EventProcedure(Node):
     body: Block
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program(Node):
-    """A complete CAPL source file."""
+    """A complete CAPL source file.
 
-    includes: List[IncludeDirective] = field(default_factory=list)
-    variables: List[VarDecl] = field(default_factory=list)
-    functions: List[FunctionDef] = field(default_factory=list)
-    event_procedures: List[EventProcedure] = field(default_factory=list)
+    Immutable like every other node, so one parse can be shared by any
+    number of interpreter instances: all run state lives on the
+    :class:`~repro.capl.interpreter.CaplNode`, never on the tree.
+    """
+
+    includes: Tuple[IncludeDirective, ...] = ()
+    variables: Tuple[VarDecl, ...] = ()
+    functions: Tuple[FunctionDef, ...] = ()
+    event_procedures: Tuple[EventProcedure, ...] = ()
 
     def message_handlers(self) -> List[EventProcedure]:
         return [p for p in self.event_procedures if p.kind == "message"]

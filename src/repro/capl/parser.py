@@ -124,19 +124,25 @@ class Parser:
     # -- program structure ---------------------------------------------------------
 
     def parse_program(self) -> Program:
-        program = Program()
+        includes: List[IncludeDirective] = []
+        variables: List[VarDecl] = []
+        functions: List[FunctionDef] = []
+        event_procedures: List[EventProcedure] = []
         while not self.at("EOF"):
             if self.at("KEYWORD", "includes"):
-                self._parse_includes(program)
+                self._parse_includes(includes)
             elif self.at("KEYWORD", "variables"):
-                self._parse_variables(program)
+                self._parse_variables(variables)
             elif self.at("KEYWORD", "on"):
-                program.event_procedures.append(self._parse_event_procedure())
+                event_procedures.append(self._parse_event_procedure())
             else:
-                program.functions.append(self._parse_function())
-        return program
+                functions.append(self._parse_function())
+        return Program(
+            tuple(includes), tuple(variables), tuple(functions),
+            tuple(event_procedures),
+        )
 
-    def _parse_includes(self, program: Program) -> None:
+    def _parse_includes(self, includes: List[IncludeDirective]) -> None:
         self.expect("KEYWORD", "includes")
         self.expect("LBRACE")
         while not self.at("RBRACE"):
@@ -145,14 +151,14 @@ class Parser:
             if ident.text != "include":
                 raise self._error("expected '#include'")
             path = parse_string(self.expect("STRING").text)
-            program.includes.append(IncludeDirective(path))
+            includes.append(IncludeDirective(path))
         self.expect("RBRACE")
 
-    def _parse_variables(self, program: Program) -> None:
+    def _parse_variables(self, variables: List[VarDecl]) -> None:
         self.expect("KEYWORD", "variables")
         self.expect("LBRACE")
         while not self.at("RBRACE"):
-            program.variables.extend(self._parse_var_decl_line())
+            variables.extend(self._parse_var_decl_line())
         self.expect("RBRACE")
 
     def _parse_event_procedure(self) -> EventProcedure:

@@ -6,11 +6,18 @@ yours?" -- from a resettable initial state.  Two systems provide it:
 
 * :class:`CaplSimulatorSUL` -- the real thing.  Each query is one fresh,
   deterministic simulator run: a :class:`~repro.capl.CaplNode` interprets
-  the CAPL source on a :class:`~repro.canbus.CanBus`, the query word's
+  the CAPL program on a :class:`~repro.canbus.CanBus`, the query word's
   ``send.<req>`` symbols become delivered frames, and the node's
   transmissions (read back off the bus log and mapped to CSP events
   through the :mod:`repro.rv.mapping` layer, like any logged traffic)
   must account for the word's ``rec.<rsp>`` symbols.
+
+  What is per SUL and what is per query: the source is parsed once, when
+  the SUL is built, and that immutable :class:`~repro.capl.ast.Program`
+  (with the alphabet and the event mapping derived from it) serves every
+  query.  Everything stateful -- the ``CaplNode`` with its globals,
+  timers, rng and step budget, the ``CanBus`` and the ``Scheduler`` -- is
+  built anew for each query, so each one starts from the reset state.
 * :class:`LtsSUL` -- a white-box teacher over an already-compiled
   automaton, used by the round-trip property tests: membership is
   :meth:`~repro.csp.kernel.CompactLTS.walk`.
@@ -40,8 +47,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..candb.model import Database, Message
-from ..capl import CaplRuntimeError, parse
+from ..capl.builtins import CaplRuntimeError
 from ..capl.interpreter import MessageSpec
+from ..capl.parser import parse
 from ..csp.events import Event
 from ..rv.ingest import LogRecord
 from ..rv.mapping import EventMapping, UnknownFrameError
@@ -121,7 +129,8 @@ class CaplSimulatorSUL:
         self.in_channel = in_channel
         self.out_channel = out_channel
         self.message_specs = dict(message_specs)
-        program = parse(source)
+        #: the one parse every membership query's fresh interpreter runs
+        self.program = program = parse(source)
         inputs = []
         for handler in program.message_handlers():
             selector = handler.selector
@@ -183,7 +192,7 @@ class CaplSimulatorSUL:
         scheduler = Scheduler()
         bus = CanBus(scheduler)
         try:
-            node = CaplNode(self.node, bus, self.source, self.message_specs)
+            node = CaplNode(self.node, bus, self.program, self.message_specs)
             node.on_start()
             scheduler.run()
         except CaplRuntimeError as failure:

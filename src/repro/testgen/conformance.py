@@ -14,11 +14,12 @@ regression suite, the 'systematic security testing' of the paper's abstract.
 
 from __future__ import annotations
 
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..canbus import CanBus, CanFrame, Scheduler
-from ..capl import CaplNode
-from ..capl.interpreter import MessageSpec
+from ..capl.ast_nodes import Program
+from ..capl.interpreter import CaplNode, MessageSpec
+from ..capl.parser import parse
 from ..csp.events import Event
 from ..csp.kernel import CompactLTS
 from ..csp.process import Environment, Process
@@ -70,7 +71,7 @@ def _stimuli_of(test: Trace, in_channel: str) -> List[str]:
 
 
 def run_test(
-    ecu_source: str,
+    ecu_source: Union[str, Program],
     test: Trace,
     message_specs: Mapping[str, MessageSpec],
     spec_lts: CompactLTS,
@@ -78,6 +79,9 @@ def run_test(
     out_channel: str = "rec",
 ) -> TestVerdict:
     """Execute one test against a fresh ECU instance.
+
+    *ecu_source* is CAPL text or an already-parsed :class:`Program`; only
+    the ``CaplNode``, bus and scheduler are per test.
 
     Stimuli are injected one at a time (each followed by a scheduler flush,
     so responses interleave deterministically); the observed exchange is
@@ -120,9 +124,11 @@ def run_suite(
     # the harness then walks the compressed product instead of the full one
     prepared = pipeline.plan.prepare(specification, "T")
     spec_lts = pipeline.compile(prepared.term)
+    # one parse per suite: every test interprets the same immutable AST
+    program = parse(ecu_source)
     verdicts = [
         run_test(
-            ecu_source, test, message_specs, spec_lts, in_channel, out_channel
+            program, test, message_specs, spec_lts, in_channel, out_channel
         )
         for test in tests
     ]

@@ -1,9 +1,14 @@
 """Unit tests for the CAPL parser."""
 
+import dataclasses
+import os
+
 import pytest
 
-from repro.capl import CaplSyntaxError, parse
+from repro.canbus import CanBus, CanFrame, Scheduler
+from repro.capl import CaplNode, CaplSyntaxError, parse
 from repro.capl import ast
+from repro.learn import derive_message_specs
 from repro.ota.capl_sources import ECU_SOURCE, VMG_SOURCE
 
 
@@ -193,3 +198,48 @@ class TestEmptyStatement:
     def test_empty_statement_in_handler(self):
         program = parse("on message reqSw { ; }")
         assert program.message_handlers()
+
+
+LEARN_CORPUS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "learn", "corpus"
+)
+
+
+def corpus_sources():
+    names = sorted(n for n in os.listdir(LEARN_CORPUS) if n.endswith(".can"))
+    assert names
+    for name in names:
+        with open(os.path.join(LEARN_CORPUS, name), "r", encoding="utf-8") as handle:
+            yield name, handle.read()
+
+
+class TestProgramIsImmutable:
+    def test_program_fields_cannot_be_assigned(self):
+        program = parse(ECU_SOURCE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.event_procedures = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.variables = program.variables + program.variables
+        assert isinstance(program.includes, tuple)
+        assert isinstance(program.variables, tuple)
+        assert isinstance(program.functions, tuple)
+        assert isinstance(program.event_procedures, tuple)
+
+    @pytest.mark.parametrize("name,source", list(corpus_sources()))
+    def test_running_a_program_leaves_its_ast_unchanged(self, name, source):
+        program = parse(source)
+        specs = derive_message_specs(source)
+        for _run in range(3):
+            scheduler = Scheduler()
+            bus = CanBus(scheduler)
+            node = CaplNode("ECU", bus, program, specs)
+            node.on_start()
+            scheduler.run()
+            for handler in program.message_handlers() * 2:
+                spec = specs[handler.selector]
+                node.deliver(
+                    CanFrame(spec.can_id, [0] * spec.dlc, name=handler.selector)
+                )
+                scheduler.run()
+            assert node.program is program
+        assert program == parse(source), name

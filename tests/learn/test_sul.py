@@ -1,11 +1,20 @@
 """Unit tests for the systems under learning (membership oracles)."""
 
+import os
+import random
+import sys
+
 import pytest
 
+from repro.capl import parser as capl_parser
 from repro.capl.interpreter import MessageSpec
 from repro.csp import event
 from repro.csp.kernel import CompactLTS
 from repro.learn import CaplSimulatorSUL, LearnError, LtsSUL, derive_message_specs
+from repro.ota import build_session_system
+from repro.ota.capl_sources import ECU_SOURCE
+from repro.ota.messages import CAN_MESSAGE_SPECS
+from repro.testgen import run_suite, transition_cover
 
 PING = """\
 variables {
@@ -117,3 +126,122 @@ def test_lts_sul_membership_is_walk():
     assert sul.membership((a,))
     assert not sul.membership((a, a))
     assert sul.runs == 3
+
+
+# -- one parse per SUL, fresh interpreter state per query ---------------------
+
+SECURITY_ACCESS = os.path.join(
+    os.path.dirname(__file__), "corpus", "security_access.can"
+)
+
+
+def count_parses(monkeypatch):
+    """Count CAPL parses, under every name a repro module imported it as."""
+    original = capl_parser.parse
+    calls = []
+
+    def counting_parse(source):
+        calls.append(source)
+        return original(source)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "parse", None) is original:
+            monkeypatch.setattr(module, "parse", counting_parse)
+    return calls
+
+
+def test_membership_queries_share_the_sul_parse(monkeypatch):
+    specs = derive_message_specs(BURST)
+    calls = count_parses(monkeypatch)
+    sul = CaplSimulatorSUL(BURST, specs)
+    send = event("send", "reqA")
+    x, y = event("rec", "rspX"), event("rec", "rspY")
+    words = [(send, x, x, y) * (n % 4) + (send,) * (n % 2) for n in range(50)]
+    for word in words:
+        sul.membership(word)
+    assert sul.runs == 50
+    assert len(calls) == 1
+
+
+def test_conformance_suite_parses_the_ecu_once(monkeypatch):
+    session = build_session_system()
+    # the cover and every prefix of it: each one a specification trace
+    tests = [
+        test[:length]
+        for test in transition_cover(session.system, session.env)
+        for length in range(1, len(test) + 1)
+    ]
+    assert len(tests) > 1
+    calls = count_parses(monkeypatch)
+    report = run_suite(
+        ECU_SOURCE,
+        tests,
+        session.env.resolve("ECU_FULL"),
+        CAN_MESSAGE_SPECS,
+        session.env,
+    )
+    assert report.passed, report.summary()
+    assert len(calls) == 1
+
+
+def _word(*symbols):
+    return tuple(event(*symbol.split(".")) for symbol in symbols)
+
+
+#: words whose answers depend on the seedGiven / unlocked globals
+LEAK_PROBES = (
+    _word("send.reqDl", "rec.rspErr"),
+    _word("send.reqDl", "rec.rspData"),
+    _word("send.sendKey", "rec.rspErr"),
+    _word("send.sendKey", "rec.rspOk"),
+    _word("send.reqSeed", "rec.rspSeed", "send.reqDl", "rec.rspErr"),
+    _word("send.reqSeed", "rec.rspSeed", "send.reqDl", "rec.rspData"),
+    _word("send.reqSeed", "rec.rspSeed", "send.sendKey", "rec.rspOk",
+          "send.reqDl", "rec.rspData"),
+    _word("send.reqSeed", "rec.rspSeed", "send.sendKey", "rec.rspErr"),
+    _word("rec.rspSeed"),
+    (),
+)
+
+
+def _walk_queries(sul, rng, count):
+    """*count* queries of a seeded random walk that extends accepted words."""
+    queries = []
+    word = ()
+    while len(queries) < count:
+        candidate = word + (rng.choice(sul.alphabet),)
+        queries.append(candidate)
+        if sul.membership(candidate):
+            word = candidate
+        if len(word) >= 8 or rng.random() < 0.1:
+            word = ()
+    return queries
+
+
+def test_no_interpreter_state_survives_between_queries():
+    with open(SECURITY_ACCESS, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    specs = derive_message_specs(source)
+    fresh = [
+        CaplSimulatorSUL(source, specs).membership(word) for word in LEAK_PROBES
+    ]
+    assert fresh[0] and not fresh[1] and fresh[6]
+
+    rng = random.Random(20190624)
+    others = _walk_queries(CaplSimulatorSUL(source, specs), rng, 200)
+    unlocking = _word("send.sendKey", "rec.rspOk")
+    assert any(
+        query[i:i + 2] == unlocking for query in others for i in range(len(query))
+    ), "the walk never unlocks the ECU; the probes would test nothing"
+    queue = [(None, query) for query in others]
+    queue += [(index, word) for index, word in enumerate(LEAK_PROBES)]
+    rng.shuffle(queue)
+
+    sul = CaplSimulatorSUL(source, specs)
+    shared = [None] * len(LEAK_PROBES)
+    for index, word in queue:
+        answer = sul.membership(word)
+        if index is not None:
+            shared[index] = answer
+    assert sul.runs == len(queue)
+    assert shared == fresh
