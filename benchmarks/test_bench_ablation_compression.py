@@ -3,7 +3,7 @@
 DESIGN.md calls out compression as the design choice behind FDR-style
 scalability (paper Sec. VII-A: "support for large-scale verification").
 This bench runs the same refinement checks twice through the production
-path -- :class:`repro.engine.VerificationPipeline` with the default pass
+path -- :class:`repro.engine.pipeline.VerificationPipeline` with the default pass
 pipeline vs. ``passes="none"`` -- on two families:
 
 * interleavings of redundantly-branching components (the kind the
@@ -24,9 +24,10 @@ import time
 
 from conftest import merge_bench_profile
 
-from repro.csp import Alphabet, Environment, ExternalChoice, Prefix, event, interleave_all, ref
-from repro.engine import VerificationPipeline
-from repro.obs import Tracer
+from repro.csp.events import Alphabet, event
+from repro.csp.process import Environment, ExternalChoice, Prefix, interleave_all, ref
+from repro.engine.pipeline import VerificationPipeline
+from repro.obs.trace import Tracer
 from repro.ota.models import (
     build_paper_system,
     build_secured_system,

@@ -5,8 +5,9 @@ sequences equal the completed traces of the generated process) on attack
 trees of growing size, and times translation + equivalence checking.
 """
 
-from repro.csp import denotational_traces, event
-from repro.security import action, all_of, any_of, sequence_of
+from repro.csp.events import event
+from repro.csp.traces import denotational_traces
+from repro.security.attack_tree import action, all_of, any_of, sequence_of
 
 
 def build_tree(width):

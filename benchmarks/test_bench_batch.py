@@ -18,9 +18,10 @@ smaller machines the numbers are still emitted for the record.
 import os
 import time
 
-from repro.batch import CheckSpec
 from repro.batch.executor import run_batch
-from repro.csp import Channel, Environment, Prefix, ref
+from repro.batch.spec import CheckSpec
+from repro.csp.events import Channel
+from repro.csp.process import Environment, Prefix, ref
 from repro.security.properties import run_process
 
 from conftest import OUT_DIR  # noqa: F401  (fixtures resolve via conftest)
@@ -37,7 +38,7 @@ def fleet_spec(index):
     Payloads are strings ("req0") rather than tuples: the manifest codec
     (repro.quickcheck.serialise) keeps event fields JSON-scalar.
     """
-    from repro.csp import interleave_all
+    from repro.csp.process import interleave_all
 
     payloads = [
         "{}{}".format(kind, i)
@@ -71,7 +72,7 @@ def fleet_spec(index):
 
 def message_space_spec(size):
     """One message-space property job (cf. the X4 message sweep)."""
-    from repro.csp import input_choice
+    from repro.csp.process import input_choice
 
     channel = Channel("bus", list(range(size)))
     env = Environment()

@@ -9,10 +9,11 @@ behavioural mutant while the faithful ECU passes -- the 'systematic'
 in systematic security testing.
 """
 
-from repro.ota import build_session_system
 from repro.ota.capl_sources import ECU_SOURCE
 from repro.ota.messages import CAN_MESSAGE_SPECS
-from repro.testgen import run_suite, transition_cover
+from repro.ota.models import build_session_system
+from repro.testgen.conformance import run_suite
+from repro.testgen.generator import transition_cover
 
 #: (mutant name, source transformation applied to the faithful ECU)
 MUTANTS = [

@@ -5,7 +5,7 @@ extraction, composition, refinement check, trace validation -- and writes
 the workflow report for both the faithful and the seeded-flaw ECU.
 """
 
-from repro.ota import run_workflow
+from repro.ota.scenario import run_workflow
 
 
 def both_runs():

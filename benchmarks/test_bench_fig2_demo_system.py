@@ -5,7 +5,7 @@ stage of Sec. VI) and regenerates the bus trace of the update session;
 the benchmark times a complete simulation run.
 """
 
-from repro.ota import simulate_network
+from repro.ota.scenario import simulate_network
 
 
 def simulate():

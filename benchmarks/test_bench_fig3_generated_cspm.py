@@ -6,9 +6,9 @@ recursive process per 'on message' event procedure -- and times the
 extraction pipeline (lex, parse, listener walk, template generation).
 """
 
-from repro.cspm import load
+from repro.cspm.evaluator import load
 from repro.ota.capl_sources import ECU_SOURCE
-from repro.translator import ExtractorConfig, ModelExtractor
+from repro.translator.extractor import ExtractorConfig, ModelExtractor
 
 #: Fig. 3 shows unqualified process names; mirror that
 CONFIG = ExtractorConfig(qualify_names=False)

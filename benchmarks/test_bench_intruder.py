@@ -13,7 +13,8 @@ benchmark times the full three-row analysis.
 """
 
 from repro.engine.pipeline import VerificationPipeline
-from repro.ota import build_secured_system, injective_agreement_check
+from repro.ota.models import build_secured_system
+from repro.ota.requirements import injective_agreement_check
 from repro.security.properties import never_occurs
 
 

@@ -27,9 +27,8 @@ import json
 import os
 import time
 
-from repro.csp import (
-    Alphabet,
-    Channel,
+from repro.csp.events import Alphabet, AlphabetTable, Channel, event
+from repro.csp.process import (
     Environment,
     GenParallel,
     Hiding,
@@ -37,15 +36,16 @@ from repro.csp import (
     Prefix,
     Renaming,
     Stop,
-    event,
     interleave_all,
     prefix,
     ref,
 )
-from repro.csp.events import AlphabetTable
-from repro.engine import VerificationPipeline
-from repro.fdr import check_failures_refinement, check_trace_refinement
-from repro.fdr import check_trace_refinement_from
+from repro.engine.pipeline import VerificationPipeline
+from repro.fdr.refine import (
+    check_failures_refinement,
+    check_trace_refinement,
+    check_trace_refinement_from,
+)
 from repro.quickcheck.reference import reference_compile, reference_refinement
 from repro.security.properties import run_process
 

@@ -3,7 +3,7 @@
 Every other bench reports end-to-end wall time; this one attributes it.
 Each representative check (the paper's SP02 assertion, the Table III
 requirements, the 32-message scalability point) runs under an enabled
-:class:`repro.obs.Tracer` and its :class:`~repro.obs.Profile` -- exclusive
+:class:`repro.obs.trace.Tracer` and its :class:`~repro.obs.profile.Profile` -- exclusive
 time per pipeline stage (parse/plan/compile/compress/normalise/refine) --
 lands in ``benchmarks/out/BENCH_profile.json``.
 
@@ -16,11 +16,12 @@ overhead stays visible PR over PR.
 import time
 
 from repro import api
-from repro.csp import Channel, Environment, input_choice, ref
+from repro.csp.events import Channel
+from repro.csp.process import Environment, input_choice, ref
 from repro.cspm.evaluator import load
 from repro.cspm.prelude import SP02_SCRIPT
-from repro.engine import VerificationPipeline
-from repro.obs import Tracer
+from repro.engine.pipeline import VerificationPipeline
+from repro.obs.trace import Tracer
 from repro.security.properties import run_process
 
 from conftest import merge_bench_profile

@@ -27,9 +27,9 @@ import json
 import os
 import time
 
-from repro.batch import load_manifest
-from repro.server import VerificationServer
+from repro.batch.spec import load_manifest
 from repro.server.client import ServerClient
+from repro.server.core import VerificationServer
 from repro.server.http import HttpFrontend
 
 from conftest import ROOT_DIR, bench_json_path, write_bench_json

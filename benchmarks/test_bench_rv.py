@@ -29,8 +29,8 @@ import time
 from repro.batch.executor import run_batch
 from repro.rv.cli import load_rv_manifest, specs_from_manifest
 from repro.rv.fleetgen import write_fleet
-from repro.server import VerificationServer
 from repro.server.client import ServerClient
+from repro.server.core import VerificationServer
 from repro.server.http import HttpFrontend
 
 from conftest import bench_json_path, write_bench_json

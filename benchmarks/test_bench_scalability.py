@@ -8,7 +8,7 @@ The shape to reproduce: state count grows multiplicatively with components
 (the explosion), which is why the paper advocates checking components
 individually and composing models.
 
-All sweeps run through :class:`repro.engine.VerificationPipeline`, so the
+All sweeps run through :class:`repro.engine.pipeline.VerificationPipeline`, so the
 timings reflect the production path (interned alphabets + on-the-fly
 refinement).  Besides the text tables, the sweeps accumulate into
 ``BENCH_scalability.json`` at the repo root (mirrored in
@@ -17,10 +17,11 @@ refinement).  Besides the text tables, the sweeps accumulate into
 
 import time
 
-from repro.csp import Channel, Environment, Prefix, ref
-from repro.engine import VerificationPipeline
-from repro.fdr import check_trace_refinement_from
-from repro.obs import Tracer
+from repro.csp.events import Channel
+from repro.csp.process import Environment, Prefix, ref
+from repro.engine.pipeline import VerificationPipeline
+from repro.fdr.refine import check_trace_refinement_from
+from repro.obs.trace import Tracer
 from repro.security.properties import run_process
 
 from conftest import merge_bench_json, merge_bench_profile
@@ -42,7 +43,7 @@ def build_component(env, channel, index):
 
 
 def check_with_components(count):
-    from repro.csp import interleave_all
+    from repro.csp.process import interleave_all
 
     payloads = [("req", i) for i in range(count)] + [("rsp", i) for i in range(count)]
     channel = Channel("bus", payloads)
@@ -69,7 +70,7 @@ def message_space_sweep():
         channel = Channel("bus", list(range(size)))
         env = Environment()
         # a server answering any request with any response: size^2 branching
-        from repro.csp import input_choice
+        from repro.csp.process import input_choice
 
         env.bind(
             "SRV",
@@ -114,7 +115,7 @@ def test_bench_scalability_components(benchmark, artifact):
 
 def _traced_message_space_check(size):
     """One sweep point re-run under an enabled tracer, for BENCH_profile."""
-    from repro.csp import input_choice
+    from repro.csp.process import input_choice
 
     channel = Channel("bus", list(range(size)))
     env = Environment()
@@ -158,7 +159,7 @@ def test_bench_scalability_message_space(benchmark, artifact):
 
 def intruder_lattice_sweep():
     """Knowledge-lattice growth: intruder state count is 2^|universe|."""
-    from repro.security import IntruderBuilder
+    from repro.security.intruder import IntruderBuilder
 
     rows = []
     for size in (2, 3, 4, 5, 6):

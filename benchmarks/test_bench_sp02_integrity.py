@@ -5,9 +5,9 @@ fails -- with exactly the insecure trace <send.reqSw, rec.rptUpd> -- on the
 seeded flaw.  The benchmark times both checks (the FDR stage).
 """
 
-from repro.csp import event
+from repro.csp.events import event
 from repro.engine.pipeline import VerificationPipeline
-from repro.ota import build_paper_system
+from repro.ota.models import build_paper_system
 
 
 def run_checks():

@@ -5,20 +5,21 @@ algebra, emitting its CSPm form, and re-parsing it (round trip).  The
 benchmark times a full emit-and-reload cycle over all operators.
 """
 
-from repro.csp import (
-    Channel,
+from repro.csp.events import Channel
+from repro.csp.process import (
     ExternalChoice,
+    GenParallel,
     Interleave,
     InternalChoice,
-    GenParallel,
     Prefix,
     ProcessRef,
     SKIP,
     STOP,
     SeqComp,
-    denotational_traces,
 )
-from repro.cspm import emit_process, load
+from repro.csp.traces import denotational_traces
+from repro.cspm.emitter import emit_process
+from repro.cspm.evaluator import load
 
 SEND = Channel("send", ["reqSw", "rptSw"])
 REC = Channel("rec", ["reqSw", "rptSw"])

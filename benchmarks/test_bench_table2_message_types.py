@@ -5,9 +5,10 @@ case-study CAPL message declarations into CSPm channel/datatype
 declarations -- the declaration-extraction half of the Sec. VI result.
 """
 
-from repro.ota import TABLE_II, render_table_ii
 from repro.ota.capl_sources import ECU_SOURCE, VMG_SOURCE
-from repro.translator import ChannelConvention, ExtractorConfig, ModelExtractor
+from repro.ota.messages import TABLE_II, render_table_ii
+from repro.translator.extractor import ExtractorConfig, ModelExtractor
+from repro.translator.rules import ChannelConvention
 
 
 def translate_declarations():

@@ -5,7 +5,7 @@ requirement checked against the case-study system, and times the complete
 requirement-checking run.
 """
 
-from repro.ota import TABLE_III, check_all
+from repro.ota.requirements import TABLE_III, check_all
 
 
 def test_bench_table3_requirements(benchmark, artifact):

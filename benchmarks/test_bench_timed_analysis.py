@@ -8,11 +8,14 @@ deadline specification sweeps the allowed budget.  The expected crossover:
 the check fails for every deadline below 10 tocks and passes from 10 up.
 """
 
-from repro.csp import Alphabet, GenParallel, compile_lts, event
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import GenParallel
 from repro.csp.timed import TOCK, deadline_spec, timer_to_tock_monitor
-from repro.fdr import check_trace_refinement
+from repro.fdr.refine import check_trace_refinement
 from repro.ota.capl_sources import VMG_SOURCE
-from repro.translator import ChannelConvention, ExtractorConfig, ModelExtractor
+from repro.translator.extractor import ExtractorConfig, ModelExtractor
+from repro.translator.rules import ChannelConvention
 
 TIMER_TOCKS = 10  # the CAPL source: setTimer(sessionTimer, 10)
 

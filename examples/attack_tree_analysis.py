@@ -10,12 +10,11 @@ exhibit.
 Run:  python examples/attack_tree_analysis.py
 """
 
-from repro.csp import format_trace
-from repro.cspm import emit_process
-from repro.ota import build_secured_system
-from repro.security import action, any_of, feasible_attacks, sequence_of
+from repro.csp.traces import format_trace
+from repro.cspm.emitter import emit_process
+from repro.ota.models import SHARED_KEY, build_secured_system
+from repro.security.attack_tree import action, any_of, feasible_attacks, sequence_of
 from repro.security.crypto import mac
-from repro.ota.models import SHARED_KEY
 
 
 def build_attack_tree(secured):

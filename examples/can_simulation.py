@@ -10,10 +10,13 @@ view of the injection attack the formal analysis predicts.
 Run:  python examples/can_simulation.py
 """
 
-from repro.canbus import CanBus, CanFrame, Scheduler, ScriptedNode
-from repro.capl import CaplNode
-from repro.ota import CAN_MESSAGE_SPECS
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.node import ScriptedNode
+from repro.canbus.scheduler import Scheduler
+from repro.capl.interpreter import CaplNode
 from repro.ota.capl_sources import ECU_SOURCE, VMG_SOURCE
+from repro.ota.messages import CAN_MESSAGE_SPECS
 
 
 def honest_session() -> None:

@@ -11,14 +11,10 @@ Run:  python examples/dbc_to_cspm.py
 
 import pathlib
 
-from repro.candb import (
-    decode_message,
-    encode_message,
-    export_database,
-    message_inventory,
-    parse_dbc_file,
-)
-from repro.cspm import load
+from repro.candb.codec import decode_message, encode_message
+from repro.candb.cspm_export import export_database, message_inventory
+from repro.candb.parser import parse_dbc_file
+from repro.cspm.evaluator import load
 
 DBC_PATH = pathlib.Path(__file__).parents[1] / "src/repro/ota/data/ota_update.dbc"
 

@@ -15,15 +15,12 @@ the outcome:
 Run:  python examples/gateway_firewall.py
 """
 
-from repro.canbus import (
-    CanBus,
-    CanFrame,
-    GatewayNode,
-    Scheduler,
-    ScriptedNode,
-    forward_range,
-)
-from repro.capl import CaplNode
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.gateway import GatewayNode, forward_range
+from repro.canbus.node import ScriptedNode
+from repro.canbus.scheduler import Scheduler
+from repro.capl.interpreter import CaplNode
 
 ENGINE_SRC = """
 variables

@@ -16,7 +16,8 @@ Run:  python examples/intruder_injection.py
 """
 
 from repro import api
-from repro.ota import build_secured_system, injective_agreement_check
+from repro.ota.models import build_secured_system
+from repro.ota.requirements import injective_agreement_check
 from repro.security.properties import never_occurs
 
 

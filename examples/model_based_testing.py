@@ -14,11 +14,12 @@ against both ECU implementations on the simulated bus:
 Run:  python examples/model_based_testing.py
 """
 
-from repro.csp import format_trace
-from repro.ota import build_session_system
+from repro.csp.traces import format_trace
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.messages import CAN_MESSAGE_SPECS
-from repro.testgen import coverage_of, run_suite, transition_cover
+from repro.ota.models import build_session_system
+from repro.testgen.conformance import run_suite
+from repro.testgen.generator import coverage_of, transition_cover
 
 
 def main() -> None:

@@ -13,7 +13,9 @@ Runs the whole Fig. 1 toolchain over the X.1373 demonstration network:
 Run:  python examples/ota_update_verification.py
 """
 
-from repro.ota import check_all, render_table_ii, render_table_iii, run_workflow
+from repro.ota.messages import render_table_ii
+from repro.ota.requirements import check_all, render_table_iii
+from repro.ota.scenario import run_workflow
 
 
 def main() -> None:

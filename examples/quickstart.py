@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 
 from repro import api
 from repro.security.properties import request_response
-from repro.translator import ModelExtractor
+from repro.translator.extractor import ModelExtractor
 
 # ECU application code, as a developer would write it in the CANoe IDE:
 # answer a software-inventory request (reqSw) with the inventory (rptSw).

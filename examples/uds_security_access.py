@@ -18,18 +18,11 @@ Dolev-Yao intruder at two quality levels:
 Run:  python examples/uds_security_access.py
 """
 
-from repro.csp import (
-    Alphabet,
-    Channel,
-    Environment,
-    GenParallel,
-    Prefix,
-    external_choice,
-    ref,
-)
 from repro import api
-from repro.security import IntruderBuilder
+from repro.csp.events import Alphabet, Channel
+from repro.csp.process import Environment, GenParallel, Prefix, external_choice, ref
 from repro.security.crypto import key, mac
+from repro.security.intruder import IntruderBuilder
 
 #: the OEM's secret key-derivation secret (never on the wire)
 ALGORITHM_SECRET = key("k_uds_algo")
@@ -134,7 +127,7 @@ def analyse(weak_seed: bool):
     """Injective agreement: each legitimate key transmission authorises at
     most one unlock of its seed.  A replayed key produces a second unlock
     without a second legitimate send -- the violation to find."""
-    from repro.csp import Hiding
+    from repro.csp.process import Hiding
 
     env, key_send, fake_key, unlock, alphabet = build_uds_model(weak_seed)
     first_seed = SEEDS[0]

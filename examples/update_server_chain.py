@@ -10,9 +10,11 @@ and an attacker interrupt showing what a compromised server link costs.
 Run:  python examples/update_server_chain.py
 """
 
-from repro.csp import Alphabet, Hiding, Interrupt, Prefix, STOP, compile_lts, event, ref
 from repro import api
-from repro.ota import build_extended_system
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import Hiding, Interrupt, Prefix, STOP, ref
+from repro.ota.extended import build_extended_system
 from repro.security.properties import precedes, request_response
 
 

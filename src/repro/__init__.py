@@ -24,8 +24,10 @@ The package provides every stage of the paper's Fig. 1 toolchain:
 * :mod:`repro.server`     -- the ``cspserve`` daemon (warm workers, dedup)
 
 ``import repro`` loads only the :mod:`repro.api` v1 names re-exported
-below and what they need; every subpackage is imported where it is used,
-so a command-line tool pays only for its own stages.
+below and what they need.  Below the root every name is imported from the
+module that defines it (``from repro.csp.process import Prefix``) and a
+subpackage ``__init__`` holds only its docstring, so a command-line tool
+pays only for its own stages.
 
 Quickstart -- the :mod:`repro.api` facade is the supported entry point::
 
@@ -36,7 +38,7 @@ Quickstart -- the :mod:`repro.api` facade is the supported entry point::
 
 or the whole case study at once::
 
-    from repro.ota import run_workflow
+    from repro.ota.scenario import run_workflow
     report = run_workflow(flawed=True)   # seed the integrity defect
     print(report.summary())              # SP02 fails with the insecure trace
 """

@@ -28,20 +28,23 @@ Two result shapes, by layer:
   identical across inline, pooled, daemon and cache-warm execution.
 
 Pass ``obs=Tracer()`` to any check to get a per-stage
-:class:`~repro.obs.Profile` on the result.
+:class:`~repro.obs.profile.Profile` on the result.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from .csp.lts import DEFAULT_STATE_LIMIT
 from .csp.process import Environment, Process
 from .engine.cache import CompilationCache
 from .engine.pipeline import VerificationPipeline
+from .engine.plan import PassSpec
 from .fdr.refine import CheckResult
 from .obs.trace import Tracer
-from .passes.base import PassSpec
+
+if TYPE_CHECKING:
+    from .capl.ast_nodes import Program
 
 #: version of the public surface declared by ``__all__`` below; bumped only
 #: when a documented entry point or :class:`Verdict`'s canonical JSON changes
@@ -437,14 +440,15 @@ def server_client(url: str, *, http_timeout: Optional[float] = None):
 
 
 def extract_model(
-    capl_source: str,
+    capl_source: Union[str, Program],
     *,
     node: str = "ECU",
     in_channel: str = "send",
     out_channel: str = "rec",
     include_timers: bool = True,
 ):
-    """Extract a CSPm implementation model from CAPL source text.
+    """Extract a CSPm implementation model from CAPL source text or an
+    already-parsed :class:`~repro.capl.ast_nodes.Program`.
 
     Returns the translator's :class:`~repro.translator.extractor.
     ExtractionResult`; ``.script_text`` is the CSPm model, ``.load()``
@@ -482,33 +486,33 @@ def learn_model(
     table converges.  ``teacher="reference"`` extracts a model from the
     same source and uses the refinement engine as the equivalence oracle
     -- any disagreement between extraction and the running program raises
-    :class:`~repro.learn.DivergenceError` with a witness trace;
+    :class:`~repro.learn.teacher.DivergenceError` with a witness trace;
     ``teacher="bounded"`` stays fully black box and conformance-tests to
     *depth*.  *message_specs* maps message names to
     :class:`~repro.capl.interpreter.MessageSpec` (a parsed ``.dbc``'s
     :meth:`~repro.candb.model.Database.message_specs`); omitted, ids are
     derived deterministically from the source.
 
-    Returns a :class:`~repro.learn.LearnResult`: the automaton as a
+    Returns a :class:`~repro.learn.learner.LearnResult`: the automaton as a
     :class:`~repro.csp.kernel.CompactLTS` plus canonical fingerprint,
     query statistics, and ``.to_process()`` for the CheckSpec plumbing.
     """
     # deferred: most api callers never learn
-    from .learn import (
-        CaplSimulatorSUL,
-        ReferenceTeacher,
-        derive_message_specs,
-        learn,
-    )
+    from .capl.parser import parse
+    from .learn.learner import learn
+    from .learn.sul import CaplSimulatorSUL, derive_message_specs
+    from .learn.teacher import ReferenceTeacher
 
     if teacher not in ("reference", "bounded"):
         raise ValueError(
             "teacher must be 'reference' or 'bounded', not {!r}".format(teacher)
         )
+    # one parse serves the message specs, the simulator and the extractor
+    program = parse(capl_source)
     if message_specs is None:
-        message_specs = derive_message_specs(capl_source)
+        message_specs = derive_message_specs(program)
     sul = CaplSimulatorSUL(
-        capl_source,
+        program,
         message_specs,
         node=node,
         in_channel=in_channel,
@@ -518,7 +522,7 @@ def learn_model(
         from .csp.lts import compile_lts
 
         model = extract_model(
-            capl_source,
+            program,
             node=node,
             in_channel=in_channel,
             out_channel=out_channel,

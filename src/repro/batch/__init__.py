@@ -20,43 +20,7 @@ the ``cspserve`` daemon runs:
 
 Surfaced on the command line as ``cspbatch`` (manifest in, JSONL out) and
 programmatically as :func:`repro.batch.executor.run_batch` and
-:func:`repro.api.verify_requirements`.  The package itself exports only the
-wire format of :mod:`repro.batch.spec`; the runner lives in
-:mod:`repro.batch.executor`, which :mod:`repro.exec` does not import.
+:func:`repro.api.verify_requirements`.  The wire format lives in
+:mod:`repro.batch.spec` and the runner in :mod:`repro.batch.executor`,
+which :mod:`repro.exec` does not import.
 """
-
-from .spec import (
-    BATCH_FORMAT_VERSION,
-    CANCELLED,
-    CheckSpec,
-    ERROR,
-    FAIL,
-    JobResult,
-    ManifestError,
-    PASS,
-    TIMEOUT,
-    VERDICTS,
-    dump_manifest,
-    load_manifest,
-    manifest_document,
-    parse_manifest,
-    requirement_specs,
-)
-
-__all__ = [
-    "BATCH_FORMAT_VERSION",
-    "CANCELLED",
-    "CheckSpec",
-    "ERROR",
-    "FAIL",
-    "JobResult",
-    "ManifestError",
-    "PASS",
-    "TIMEOUT",
-    "VERDICTS",
-    "dump_manifest",
-    "load_manifest",
-    "manifest_document",
-    "parse_manifest",
-    "requirement_specs",
-]

@@ -4,32 +4,3 @@ A discrete-event simulation of a CAN segment: frames with identifier-based
 arbitration, broadcast delivery, CAPL-style one-shot timers and a trace log
 that converts to CSP traces for validating extracted models.
 """
-
-from .frame import CanFrame, MAX_DLC, MAX_EXTENDED_ID, MAX_STANDARD_ID
-from .scheduler import Action, ScheduledEvent, Scheduler
-from .timers import Timer
-from .tracelog import TraceEntry, TraceLog
-from .bus import CanBus
-from .node import CanNode, FunctionNode, ScriptedNode
-from .gateway import GatewayNode, Route, forward_ids, forward_range
-
-__all__ = [
-    "Action",
-    "CanBus",
-    "CanFrame",
-    "CanNode",
-    "FunctionNode",
-    "GatewayNode",
-    "Route",
-    "MAX_DLC",
-    "MAX_EXTENDED_ID",
-    "MAX_STANDARD_ID",
-    "ScheduledEvent",
-    "Scheduler",
-    "ScriptedNode",
-    "Timer",
-    "TraceEntry",
-    "TraceLog",
-    "forward_ids",
-    "forward_range",
-]

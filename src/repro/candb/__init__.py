@@ -3,30 +3,3 @@
 Paper Sec. IV-B2 (the database format) and Sec. VIII-A (the DBC-to-CSPm
 model generator, implemented here as :func:`export_database`).
 """
-
-from .model import Database, Message, Signal
-from .parser import DbcParseError, parse_dbc, parse_dbc_file
-from .codec import decode_message, decode_raw, encode_message, encode_raw
-from .cspm_export import (
-    DEFAULT_MAX_RANGE_BITS,
-    export_database,
-    message_inventory,
-    sanitize,
-)
-
-__all__ = [
-    "Database",
-    "DbcParseError",
-    "DEFAULT_MAX_RANGE_BITS",
-    "Message",
-    "Signal",
-    "decode_message",
-    "decode_raw",
-    "encode_message",
-    "encode_raw",
-    "export_database",
-    "message_inventory",
-    "parse_dbc",
-    "parse_dbc_file",
-    "sanitize",
-]

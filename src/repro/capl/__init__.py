@@ -5,27 +5,3 @@ A hand-written lexer and recursive-descent parser produce the
 :class:`CaplNode` interprets a program on the simulated CAN bus so the same
 source that the model extractor translates can also be executed.
 """
-
-from .lexer import CaplSyntaxError, Token, parse_number, parse_string, tokenize
-from .parser import Parser, parse, parse_file
-from .builtins import CaplRuntimeError, MessageObject, format_write
-from .interpreter import CaplNode, MAX_STEPS_PER_EVENT, MessageSpec
-from . import ast_nodes as ast
-
-__all__ = [
-    "CaplNode",
-    "CaplRuntimeError",
-    "CaplSyntaxError",
-    "MAX_STEPS_PER_EVENT",
-    "MessageObject",
-    "MessageSpec",
-    "Parser",
-    "Token",
-    "ast",
-    "format_write",
-    "parse",
-    "parse_file",
-    "parse_number",
-    "parse_string",
-    "tokenize",
-]

@@ -1,7 +1,7 @@
 """Tree-walking interpreter executing CAPL programs on simulated nodes.
 
 This replaces CANoe's bundled CAPL compiler/runtime: a :class:`CaplNode`
-attaches to a :class:`repro.canbus.CanBus`, declares its message and timer
+attaches to a :class:`repro.canbus.bus.CanBus`, declares its message and timer
 variables, and reacts to bus and timer events by interpreting the matching
 ``on message`` / ``on timer`` / ``on start`` procedures.
 
@@ -64,7 +64,7 @@ class CaplNode(CanNode):
         message_specs: Optional[Mapping[str, MessageSpec]] = None,
         database=None,
     ) -> None:
-        """*database* is an optional :class:`repro.candb.Database`; when
+        """*database* is an optional :class:`repro.candb.model.Database`; when
         given, message wire identities come from it and ``msg.<Signal>``
         accesses go through the CANdb signal codec (scaling, value tables),
         exactly as CAPL does with a linked CANdb file (paper Sec. IV-B2).

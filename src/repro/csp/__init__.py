@@ -5,133 +5,16 @@ constructors of the paper's grammar, operational semantics, LTS compilation
 and the paper's denotational trace semantics.
 """
 
-from .events import (
-    Alphabet,
-    AlphabetTable,
-    Channel,
-    Event,
-    TAU,
-    TAU_ID,
-    TICK,
-    TICK_ID,
-    Value,
-    event,
-    parse_event,
-)
+# only the names perfbench/ imports from this package; every other caller
+# imports from the defining module (docs/architecture.md, "Layering")
+from .events import Alphabet, Channel, event
 from .process import (
-    CompiledProcess,
     Environment,
     ExternalChoice,
-    GenParallel,
     Hiding,
-    Interleave,
-    Interrupt,
-    InternalChoice,
-    OMEGA,
-    Omega,
     Prefix,
-    Process,
     ProcessRef,
-    Renaming,
-    SKIP,
-    STOP,
-    SeqComp,
-    Skip,
-    Stop,
-    external_choice,
     input_choice,
     interleave_all,
-    internal_choice,
-    prefix,
     ref,
-    sequence,
 )
-from .semantics import Transition, UnguardedRecursionError, initials, transitions
-from .kernel import CompactLTS, StateId
-from .lts import (
-    DEFAULT_STATE_LIMIT,
-    StateSpaceLimitExceeded,
-    compile_lts,
-    reachable_visible_traces,
-)
-from .traces import (
-    Trace,
-    denotational_traces,
-    format_trace,
-    hide_trace,
-    interleave_traces,
-    is_prefix,
-    merge_traces,
-    prefix_closure,
-    trace_refines,
-)
-from . import failures as failures_model
-from .failures import denotational_failures, lts_failures
-from . import laws
-from . import timed
-from .timed import TOCK
-
-__all__ = [
-    "Alphabet",
-    "AlphabetTable",
-    "TAU_ID",
-    "TICK_ID",
-    "TOCK",
-    "timed",
-    "Channel",
-    "CompiledProcess",
-    "DEFAULT_STATE_LIMIT",
-    "Environment",
-    "Event",
-    "ExternalChoice",
-    "GenParallel",
-    "Hiding",
-    "Interleave",
-    "Interrupt",
-    "InternalChoice",
-    "CompactLTS",
-    "OMEGA",
-    "Omega",
-    "Prefix",
-    "Process",
-    "ProcessRef",
-    "Renaming",
-    "SKIP",
-    "STOP",
-    "SeqComp",
-    "Skip",
-    "StateId",
-    "StateSpaceLimitExceeded",
-    "Stop",
-    "TAU",
-    "TICK",
-    "Trace",
-    "Transition",
-    "UnguardedRecursionError",
-    "Value",
-    "compile_lts",
-    "denotational_failures",
-    "denotational_traces",
-    "event",
-    "external_choice",
-    "format_trace",
-    "hide_trace",
-    "initials",
-    "input_choice",
-    "interleave_all",
-    "interleave_traces",
-    "internal_choice",
-    "is_prefix",
-    "laws",
-    "lts_failures",
-    "failures_model",
-    "merge_traces",
-    "parse_event",
-    "prefix",
-    "prefix_closure",
-    "reachable_visible_traces",
-    "ref",
-    "sequence",
-    "trace_refines",
-    "transitions",
-]

@@ -4,38 +4,3 @@ Provides the lexer/parser for the supported CSPm subset, the evaluator that
 lowers scripts onto the core process algebra, and the emitter the model
 extractor uses to write Fig.-3-style generated scripts.
 """
-
-from .lexer import CspmSyntaxError, Token, tokenize
-from .parser import Parser, parse, parse_expression
-from .evaluator import CspmEvaluationError, CspmModel, load, load_file
-from .emitter import (
-    ScriptBuilder,
-    emit_alphabet,
-    emit_event,
-    emit_process,
-    emit_value,
-    environment_to_script,
-)
-from . import ast_nodes as ast
-from . import prelude
-
-__all__ = [
-    "CspmEvaluationError",
-    "CspmModel",
-    "CspmSyntaxError",
-    "Parser",
-    "ScriptBuilder",
-    "Token",
-    "ast",
-    "emit_alphabet",
-    "emit_event",
-    "emit_process",
-    "emit_value",
-    "environment_to_script",
-    "load",
-    "load_file",
-    "parse",
-    "parse_expression",
-    "prelude",
-    "tokenize",
-]

@@ -1,6 +1,6 @@
 """Emission of CSPm source text from core process terms.
 
-The inverse of the evaluator: pretty-prints :class:`repro.csp.Process` terms
+The inverse of the evaluator: pretty-prints :class:`repro.csp.process.Process` terms
 in CSPm notation (Table I of the paper) and assembles complete scripts --
 datatype / channel declarations, process equations and assert statements --
 of the shape shown in the paper's Fig. 3.  The model extractor uses this to
@@ -159,7 +159,7 @@ class ScriptBuilder:
     The builder collects declarations in the conventional order -- datatypes,
     nametypes, channels, process equations, assertions -- and renders a single
     text with a comment header, ready to be written to a ``.csp`` file (or
-    re-loaded with :func:`repro.cspm.load` for checking).
+    re-loaded with :func:`repro.cspm.evaluator.load` for checking).
     """
 
     def __init__(self, header: Optional[str] = None) -> None:

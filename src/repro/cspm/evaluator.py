@@ -3,10 +3,10 @@
 Loading a script performs, in order:
 
 1. ``datatype`` / ``nametype`` declarations populate the value universe,
-2. ``channel`` declarations build :class:`repro.csp.Channel` objects with
+2. ``channel`` declarations build :class:`repro.csp.events.Channel` objects with
    finite field domains (what makes the models checkable),
-3. process equations are evaluated to :class:`repro.csp.Process` terms in a
-   shared :class:`repro.csp.Environment`; parameterised equations are
+3. process equations are evaluated to :class:`repro.csp.process.Process` terms in a
+   shared :class:`repro.csp.process.Environment`; parameterised equations are
    instantiated on demand, one environment entry per argument tuple, which is
    how FDR compiles them,
 4. ``assert`` declarations are collected and can be discharged against the
@@ -141,7 +141,7 @@ class CspmModel:
 
         All assertions share one verification pipeline, so a process term
         appearing on several assert lines compiles and normalises once.  Pass
-        a preconfigured :class:`~repro.engine.VerificationPipeline` to reuse
+        a preconfigured :class:`~repro.engine.pipeline.VerificationPipeline` to reuse
         its caches across scripts; *passes* configures compress-before-compose
         when no pipeline is supplied ("default", "none", or a comma-separated
         pass list).

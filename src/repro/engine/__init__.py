@@ -23,30 +23,3 @@ caller.  The pipeline owns four pieces:
   lazy expansion) that lets trace/failures checks exit on the first
   violation without materialising the implementation state space.
 """
-
-from .cache import CompilationCache, reachable_bindings, structural_key
-from .diskcache import DiskCache
-from .pipeline import VerificationPipeline, shared_cache
-from .plan import (
-    CompilationPlan,
-    CompiledAutomaton,
-    ComponentProvenance,
-    PreparedTerm,
-    component_provenance,
-)
-from .product import ProductLTS
-
-__all__ = [
-    "CompilationCache",
-    "CompilationPlan",
-    "CompiledAutomaton",
-    "ComponentProvenance",
-    "DiskCache",
-    "PreparedTerm",
-    "ProductLTS",
-    "VerificationPipeline",
-    "component_provenance",
-    "reachable_bindings",
-    "shared_cache",
-    "structural_key",
-]

@@ -34,9 +34,14 @@ from ..fdr.refine import (
 )
 from ..obs.profile import profile_of
 from ..obs.trace import Tracer, ensure_tracer
-from ..passes.base import PassSpec, resolve_passes
 from .cache import CompilationCache, structural_key
-from .plan import CompilationPlan, PreparedTerm, component_provenance
+from .plan import (
+    CompilationPlan,
+    PassSpec,
+    PreparedTerm,
+    component_provenance,
+    resolve_passes,
+)
 
 _REFINEMENT_CHECKS = {
     "T": check_trace_refinement_from,

@@ -17,7 +17,9 @@ Soundness: every default pass is an equivalence in the model being checked
 CSP operators are compositional for these equivalences), so substituting a
 compressed component for the original preserves the composed verdict.  The
 plan filters the configured passes by the check's model, so the trace-only
-``normal`` pass never leaks into failures or divergence checks.
+``normal`` pass never leaks into failures or divergence checks.  The
+configured passes come from :data:`PASSES`, the one table of built-in
+passes that ``--compress`` names resolve against.
 
 Provenance: each compressed automaton keeps a
 :class:`~repro.passes.base.StateProvenance` back to its uncompressed
@@ -34,7 +36,7 @@ plan for that component.
 from __future__ import annotations
 
 import hashlib
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..csp.events import Event
 from ..csp.kernel import CompactLTS, StateId
@@ -57,6 +59,9 @@ from ..passes.base import (
     apply_passes,
     passes_for_model,
 )
+from ..passes.normal import NormalPass
+from ..passes.reduce import DeadStatesPass, DiamondPass, TauLoopPass
+from ..passes.sbisim import SbisimPass
 from .cache import structural_key
 from .product import ProductLTS
 
@@ -72,6 +77,59 @@ _COMPONENT_FAILURES = (
     KeyError,
     RecursionError,
 )
+
+#: every built-in pass by its ``--compress`` name
+PASSES: Dict[str, LtsPass] = {
+    "dead": DeadStatesPass(),
+    "tau_loop": TauLoopPass(),
+    "diamond": DiamondPass(),
+    "sbisim": SbisimPass(),
+    "normal": NormalPass(),
+}
+
+#: the passes applied when a caller asks for ``default`` compression: safe
+#: in every semantic model, cheap, and ordered so each pass feeds the next
+#: (pruning first, tau structure next, the bisimulation quotient last)
+DEFAULT_PASS_NAMES: Tuple[str, ...] = ("dead", "tau_loop", "diamond", "sbisim")
+
+PassSpec = Union[None, str, Sequence[str], Sequence[LtsPass]]
+
+
+def resolve_passes(spec: PassSpec) -> Tuple[LtsPass, ...]:
+    """Resolve ``--compress=<spec>`` syntax into a pass sequence.
+
+    Accepts ``"default"``, ``"none"`` (or ``""``/``None``), a comma-separated
+    name list (``"tau_loop,sbisim"``), or a sequence of names/pass objects.
+    """
+    if spec is None:
+        return ()
+    if isinstance(spec, str):
+        text = spec.strip()
+        if text in ("", "none"):
+            return ()
+        if text == "default":
+            names: Sequence[object] = DEFAULT_PASS_NAMES
+        else:
+            names = [part.strip() for part in text.split(",") if part.strip()]
+    else:
+        names = list(spec)
+    resolved: List[LtsPass] = []
+    for name in names:
+        if isinstance(name, LtsPass):
+            resolved.append(name)
+            continue
+        if name == "default":
+            resolved.extend(PASSES[default] for default in DEFAULT_PASS_NAMES)
+            continue
+        try:
+            resolved.append(PASSES[name])
+        except KeyError:
+            raise KeyError(
+                "unknown pass {!r}; known: {}".format(
+                    name, ", ".join(sorted(PASSES))
+                )
+            ) from None
+    return tuple(resolved)
 
 
 class CompiledAutomaton:

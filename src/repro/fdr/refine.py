@@ -77,7 +77,7 @@ class CheckResult:
         #: (:class:`repro.passes.base.PassStats`) when the check ran through
         #: a compilation plan; empty for uncompressed checks
         self.pass_stats = pass_stats
-        #: per-stage wall-time breakdown (:class:`repro.obs.Profile`) when the
+        #: per-stage wall-time breakdown (:class:`repro.obs.profile.Profile`) when the
         #: check ran under an enabled tracer; None otherwise
         self.profile = profile
 

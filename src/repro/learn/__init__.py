@@ -20,36 +20,8 @@ Surfaces: the ``csplearn`` CLI (:mod:`repro.learn.cli`), the
 ``learned_vs_extracted`` differential oracle (:mod:`repro.quickcheck`).
 """
 
-from .learner import LearnResult, LearnStats, learn
-from .specs import equivalence_specs
-from .sul import (
-    CaplSimulatorSUL,
-    LearnError,
-    LtsSUL,
-    derive_message_specs,
-)
-from .table import Hypothesis, MembershipCache, ObservationTable
-from .teacher import (
-    BoundedTeacher,
-    Counterexample,
-    DivergenceError,
-    ReferenceTeacher,
-)
-
-__all__ = [
-    "BoundedTeacher",
-    "CaplSimulatorSUL",
-    "Counterexample",
-    "DivergenceError",
-    "Hypothesis",
-    "LearnError",
-    "LearnResult",
-    "LearnStats",
-    "LtsSUL",
-    "MembershipCache",
-    "ObservationTable",
-    "ReferenceTeacher",
-    "derive_message_specs",
-    "equivalence_specs",
-    "learn",
-]
+# only the names perfbench/ imports from this package; every other caller
+# imports from the defining module (docs/architecture.md, "Layering")
+from .learner import learn
+from .sul import CaplSimulatorSUL, derive_message_specs
+from .teacher import ReferenceTeacher

@@ -21,6 +21,8 @@ import json
 import sys
 from typing import List, Optional
 
+from ..capl.ast_nodes import Program
+from ..capl.parser import parse
 from ..cli_common import (
     EXIT_OK,
     EXIT_USAGE,
@@ -100,11 +102,11 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
-def _reference_teacher(source: str, node: str) -> ReferenceTeacher:
+def _reference_teacher(program: Program, node: str) -> ReferenceTeacher:
     from ..csp.lts import compile_lts
-    from ..translator import ModelExtractor
+    from ..translator.extractor import ModelExtractor
 
-    result = ModelExtractor().extract(source, node)
+    result = ModelExtractor().extract(program, node)
     model = result.load()
     reference = compile_lts(
         model.process(node), model.env, max_states=100_000
@@ -134,8 +136,8 @@ def _emit_summary(result: LearnResult, out) -> None:
 
 
 def _emit_cspm(result: LearnResult, out) -> None:
-    from ..cspm import emit_process
     from ..csp.events import Channel
+    from ..cspm.emitter import emit_process
 
     names = sorted({event.fields[0] for event in result.alphabet})
     channel_names = sorted({event.channel for event in result.alphabet})
@@ -164,15 +166,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     tracer = tracer_from_args(args)
     try:
+        # one parse serves the message specs, the simulator and the extractor
+        program = parse(source)
         if args.dbc is not None:
-            from ..candb import parse_dbc_file
+            from ..candb.parser import parse_dbc_file
 
             message_specs = parse_dbc_file(args.dbc).message_specs()
         else:
-            message_specs = derive_message_specs(source)
-        sul = CaplSimulatorSUL(source, message_specs, node=args.node)
+            message_specs = derive_message_specs(program)
+        sul = CaplSimulatorSUL(program, message_specs, node=args.node)
         teacher = (
-            _reference_teacher(source, args.node)
+            _reference_teacher(program, args.node)
             if args.teacher == "reference"
             else None  # learn() builds the bounded teacher itself
         )

@@ -5,15 +5,16 @@ black box: answer *membership queries* -- "is this word a behaviour of
 yours?" -- from a resettable initial state.  Two systems provide it:
 
 * :class:`CaplSimulatorSUL` -- the real thing.  Each query is one fresh,
-  deterministic simulator run: a :class:`~repro.capl.CaplNode` interprets
-  the CAPL program on a :class:`~repro.canbus.CanBus`, the query word's
-  ``send.<req>`` symbols become delivered frames, and the node's
-  transmissions (read back off the bus log and mapped to CSP events
+  deterministic simulator run: a :class:`~repro.capl.interpreter.CaplNode`
+  interprets the CAPL program on a :class:`~repro.canbus.bus.CanBus`, the
+  query word's ``send.<req>`` symbols become delivered frames, and the
+  node's transmissions (read back off the bus log and mapped to CSP events
   through the :mod:`repro.rv.mapping` layer, like any logged traffic)
   must account for the word's ``rec.<rsp>`` symbols.
 
   What is per SUL and what is per query: the source is parsed once, when
-  the SUL is built, and that immutable :class:`~repro.capl.ast.Program`
+  the SUL is built (or by the caller, who passes the
+  :class:`~repro.capl.ast_nodes.Program`), and that immutable ``Program``
   (with the alphabet and the event mapping derived from it) serves every
   query.  Everything stateful -- the ``CaplNode`` with its globals,
   timers, rng and step budget, the ``CanBus`` and the ``Scheduler`` -- is
@@ -44,9 +45,10 @@ built from a timer-free extraction reports the mismatch as divergence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..candb.model import Database, Message
+from ..capl.ast_nodes import Program
 from ..capl.builtins import CaplRuntimeError
 from ..capl.interpreter import MessageSpec
 from ..capl.parser import parse
@@ -63,16 +65,17 @@ class LearnError(ValueError):
 
 
 def derive_message_specs(
-    source: str, *, base_id: int = 0x200, dlc: int = 8
+    source: Union[str, Program], *, base_id: int = 0x200, dlc: int = 8
 ) -> Dict[str, MessageSpec]:
-    """Deterministic message specs for a stand-alone CAPL source.
+    """Deterministic message specs for a stand-alone CAPL source (text or
+    an already-parsed :class:`Program`).
 
     ``csplearn`` runs without a .dbc: every message name the program
     handles or declares gets a CAN id assigned in sorted-name order.  The
     ids only need to be distinct -- under the multiset observation
     abstraction arbitration order never reaches the learned language.
     """
-    program = parse(source)
+    program = parse(source) if isinstance(source, str) else source
     names = set()
     for handler in program.message_handlers():
         if isinstance(handler.selector, str) and handler.selector != "*":
@@ -106,6 +109,7 @@ def _specs_database(
 class CaplSimulatorSUL:
     """The CAPL interpreter on the simulated bus, as a membership oracle.
 
+    *source* is CAPL text or an already-parsed :class:`Program`.
     *message_specs* gives the name -> (CAN id, dlc) table (a parsed
     ``.dbc``'s :meth:`~repro.candb.model.Database.message_specs`, or
     :func:`derive_message_specs` for stand-alone sources).  The input
@@ -116,7 +120,7 @@ class CaplSimulatorSUL:
 
     def __init__(
         self,
-        source: str,
+        source: Union[str, Program],
         message_specs: Dict[str, MessageSpec],
         *,
         node: str = "ECU",
@@ -124,13 +128,14 @@ class CaplSimulatorSUL:
         out_channel: str = "rec",
         mapping: Optional[EventMapping] = None,
     ) -> None:
-        self.source = source
         self.node = node
         self.in_channel = in_channel
         self.out_channel = out_channel
         self.message_specs = dict(message_specs)
         #: the one parse every membership query's fresh interpreter runs
-        self.program = program = parse(source)
+        self.program = program = (
+            parse(source) if isinstance(source, str) else source
+        )
         inputs = []
         for handler in program.message_handlers():
             selector = handler.selector
@@ -184,9 +189,11 @@ class CaplSimulatorSUL:
 
     def membership(self, word: Word) -> bool:
         """Is *word* a behaviour of the program?  One fresh simulator run."""
-        from ..canbus import CanBus, CanFrame, Scheduler
+        from ..canbus.bus import CanBus
+        from ..canbus.frame import CanFrame
+        from ..canbus.scheduler import Scheduler
 
-        from ..capl import CaplNode
+        from ..capl.interpreter import CaplNode
 
         self.runs += 1
         scheduler = Scheduler()

@@ -23,62 +23,7 @@ Three layers:
   ``CheckResult.profile`` and ``cspcheck --profile``.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    NULL_METRICS,
-    NullMetrics,
-    global_metrics,
-)
-from .profile import (
-    OTHER_STAGE,
-    Profile,
-    STAGE_ORDER,
-    aggregate_spans,
-    merge_profiles,
-    overall_profile,
-    profile_of,
-)
-from .schema import SchemaError, validate_file, validate_lines
-from .trace import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceDump,
-    Tracer,
-    ensure_tracer,
-    export_jsonl,
-    load_jsonl,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metrics",
-    "NULL_METRICS",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullMetrics",
-    "NullTracer",
-    "OTHER_STAGE",
-    "Profile",
-    "STAGE_ORDER",
-    "SchemaError",
-    "Span",
-    "TraceDump",
-    "Tracer",
-    "aggregate_spans",
-    "ensure_tracer",
-    "export_jsonl",
-    "global_metrics",
-    "load_jsonl",
-    "merge_profiles",
-    "overall_profile",
-    "profile_of",
-    "validate_file",
-    "validate_lines",
-]
+# only the names perfbench/ imports from this package; every other caller
+# imports from the defining module (docs/architecture.md, "Layering")
+from .schema import SchemaError, validate_file
+from .trace import NULL_TRACER, Tracer, export_jsonl

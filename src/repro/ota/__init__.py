@@ -4,100 +4,3 @@ Message set (Table II), requirements (Table III), hand-written CSP models
 (SP02 and friends), runnable/translatable CAPL sources for the Fig. 2 demo
 network, and the end-to-end Fig. 1 workflow runner.
 """
-
-from .messages import (
-    BASIC_MESSAGES,
-    CAN_MESSAGE_SPECS,
-    EXTENDED_MESSAGES,
-    SERVER_MESSAGES,
-    TABLE_II,
-    MessageType,
-    basic_alphabet,
-    basic_channels,
-    extended_channels,
-    render_table_ii,
-    table_ii_rows,
-)
-from .capl_sources import (
-    ECU_FLAWED_SOURCE,
-    ECU_SOURCE,
-    VMG_EXTENDED_SOURCE,
-    VMG_SOURCE,
-)
-from .models import (
-    BasicSystem,
-    NONCES,
-    SHARED_KEY,
-    SecuredSystem,
-    SessionSystem,
-    UPDATE_MODULES,
-    build_paper_system,
-    build_secured_system,
-    build_session_system,
-)
-from .requirements import (
-    Requirement,
-    TABLE_III,
-    check_all,
-    check_requirement,
-    injective_agreement_check,
-    render_table_iii,
-    requirement,
-)
-from .extended import ExtendedSystem, build_extended_system
-from .replay import (
-    ReplayOutcome,
-    find_witness,
-    replay_insecure_trace,
-    split_counterexample,
-)
-from .scenario import (
-    WorkflowReport,
-    extract_system,
-    run_workflow,
-    simulate_network,
-)
-
-__all__ = [
-    "BASIC_MESSAGES",
-    "BasicSystem",
-    "CAN_MESSAGE_SPECS",
-    "ECU_FLAWED_SOURCE",
-    "ECU_SOURCE",
-    "EXTENDED_MESSAGES",
-    "ExtendedSystem",
-    "MessageType",
-    "NONCES",
-    "ReplayOutcome",
-    "Requirement",
-    "SERVER_MESSAGES",
-    "SHARED_KEY",
-    "SecuredSystem",
-    "SessionSystem",
-    "TABLE_II",
-    "TABLE_III",
-    "UPDATE_MODULES",
-    "VMG_EXTENDED_SOURCE",
-    "VMG_SOURCE",
-    "WorkflowReport",
-    "basic_alphabet",
-    "basic_channels",
-    "build_extended_system",
-    "build_paper_system",
-    "build_secured_system",
-    "build_session_system",
-    "check_all",
-    "check_requirement",
-    "extended_channels",
-    "find_witness",
-    "extract_system",
-    "injective_agreement_check",
-    "render_table_ii",
-    "replay_insecure_trace",
-    "render_table_iii",
-    "requirement",
-    "run_workflow",
-    "simulate_network",
-    "split_counterexample",
-    "table_ii_rows",
-]

@@ -4,7 +4,7 @@
 components (per Figure 2) programmed to exchange simple messages as defined
 in our requirements."  These are those components: the VMG and target-ECU
 CAPL programs, each both *executable* on the simulated bus
-(:class:`repro.capl.CaplNode`) and *translatable* by the model extractor.
+(:class:`repro.capl.interpreter.CaplNode`) and *translatable* by the model extractor.
 
 ``ECU_FLAWED_SOURCE`` seeds the defect the security check must find: the ECU
 answers a software-inventory request with an update report, violating the

@@ -19,8 +19,12 @@ from __future__ import annotations
 from itertools import chain, permutations
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..canbus import CanBus, CanFrame, Scheduler, ScriptedNode, TraceLog
-from ..capl import CaplNode
+from ..canbus.bus import CanBus
+from ..canbus.frame import CanFrame
+from ..canbus.node import ScriptedNode
+from ..canbus.scheduler import Scheduler
+from ..canbus.tracelog import TraceLog
+from ..capl.interpreter import CaplNode
 from ..csp.events import Event
 from .messages import CAN_MESSAGE_SPECS
 

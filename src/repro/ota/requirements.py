@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from ..csp.events import Alphabet
 from ..csp.process import Environment, Hiding, Prefix, Process, ProcessRef, external_choice
-from ..engine import CompilationCache
+from ..engine.cache import CompilationCache
 from ..fdr.refine import CheckResult
 from ..security.properties import (
     alternates,

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from ..canbus import CanBus, Scheduler, TraceLog
-from ..capl import CaplNode
+from ..canbus.bus import CanBus
+from ..canbus.scheduler import Scheduler
+from ..canbus.tracelog import TraceLog
+from ..capl.interpreter import CaplNode
 from ..csp.events import Event
 from ..engine.pipeline import VerificationPipeline
 from ..fdr.refine import CheckResult
-from ..translator import ChannelConvention, NetworkBuilder
+from ..translator.network import NetworkBuilder
+from ..translator.rules import ChannelConvention
 from .capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE, VMG_SOURCE
 from .messages import CAN_MESSAGE_SPECS
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..csp.events import TICK_ID
 from ..csp.kernel import CompactLTS, StateId
@@ -261,63 +261,6 @@ def bfs_renumber(
             if not discovered:
                 work.append(target_rep)
     return renumbered, tuple(new_to_old)
-
-
-# -- the registry -------------------------------------------------------------------
-
-PASSES: Dict[str, LtsPass] = {}
-
-#: the passes applied when a caller asks for ``default`` compression: safe
-#: in every semantic model, cheap, and ordered so each pass feeds the next
-#: (pruning first, tau structure next, the bisimulation quotient last)
-DEFAULT_PASS_NAMES: Tuple[str, ...] = ("dead", "tau_loop", "diamond", "sbisim")
-
-
-def register_pass(lts_pass: LtsPass) -> LtsPass:
-    if lts_pass.name in PASSES:
-        raise ValueError("pass {!r} registered twice".format(lts_pass.name))
-    PASSES[lts_pass.name] = lts_pass
-    return lts_pass
-
-
-PassSpec = Union[None, str, Sequence[str], Sequence[LtsPass]]
-
-
-def resolve_passes(spec: PassSpec) -> Tuple[LtsPass, ...]:
-    """Resolve ``--compress=<spec>`` syntax into a pass sequence.
-
-    Accepts ``"default"``, ``"none"`` (or ``""``/``None``), a comma-separated
-    name list (``"tau_loop,sbisim"``), or a sequence of names/pass objects.
-    """
-    if spec is None:
-        return ()
-    if isinstance(spec, str):
-        text = spec.strip()
-        if text in ("", "none"):
-            return ()
-        if text == "default":
-            names: Sequence[object] = DEFAULT_PASS_NAMES
-        else:
-            names = [part.strip() for part in text.split(",") if part.strip()]
-    else:
-        names = list(spec)
-    resolved: List[LtsPass] = []
-    for name in names:
-        if isinstance(name, LtsPass):
-            resolved.append(name)
-            continue
-        if name == "default":
-            resolved.extend(PASSES[default] for default in DEFAULT_PASS_NAMES)
-            continue
-        try:
-            resolved.append(PASSES[name])
-        except KeyError:
-            raise KeyError(
-                "unknown pass {!r}; known: {}".format(
-                    name, ", ".join(sorted(PASSES))
-                )
-            ) from None
-    return tuple(resolved)
 
 
 def passes_for_model(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..csp.kernel import CompactLTS, StateId
-from .base import LtsPass, bfs_renumber, register_pass
+from .base import LtsPass, bfs_renumber
 
 
 class NormalPass(LtsPass):
@@ -39,6 +39,3 @@ class NormalPass(LtsPass):
         return renumbered, tuple(
             min(spec.members[node]) for node in new_to_node
         )
-
-
-register_pass(NormalPass())

@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 from ..csp.events import TAU_ID
 from ..csp.kernel import CompactLTS, StateId
-from .base import LtsPass, bfs_renumber, register_pass, terminated_states
+from .base import LtsPass, bfs_renumber, terminated_states
 
 
 class DeadStatesPass(LtsPass):
@@ -212,8 +212,3 @@ class DiamondPass(LtsPass):
             lts, [rep_of[s] for s in range(count)]
         )
         return renumbered, new_to_old
-
-
-register_pass(DeadStatesPass())
-register_pass(TauLoopPass())
-register_pass(DiamondPass())

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Tuple
 
 from ..csp.kernel import CompactLTS, StateId
-from .base import LtsPass, bfs_renumber, register_pass, terminated_states
+from .base import LtsPass, bfs_renumber, terminated_states
 
 Signature = FrozenSet[Tuple[int, int]]
 
@@ -155,6 +155,3 @@ class SbisimPass(LtsPass):
 
     def rewrite(self, lts: CompactLTS) -> Tuple[CompactLTS, Tuple[StateId, ...]]:
         return quotient(lts)
-
-
-register_pass(SbisimPass())

@@ -17,88 +17,3 @@ against the extracted model.  This package fuzzes exactly those seams:
 * :mod:`~repro.quickcheck.testing` -- the ``for_all`` property runner the
   randomized pytest files are built on (``REPRO_SEED`` replays a run).
 """
-
-from .gen import (
-    CAPL_REQUESTS,
-    CAPL_RESPONSES,
-    CaplProgram,
-    DEFAULT_EVENTS,
-    Gen,
-    booleans,
-    capl_cases,
-    capl_precise_programs,
-    capl_precise_statements,
-    capl_programs,
-    capl_statements,
-    frequency,
-    integers,
-    lists,
-    one_of,
-    process_pairs,
-    process_terms,
-    sampled_from,
-    stimuli_for,
-    sub_alphabets,
-    subsets,
-    tuples,
-)
-from .oracles import Discard, ORACLES, Oracle, OracleViolation, get_oracles
-from .runner import CampaignReport, FuzzFailure, derive_seed, run_campaign
-from .shrink import is_locally_minimal, shrink, shrink_candidates
-from .serialise import decode_value, encode_value
-from .corpus import (
-    CorpusCase,
-    load_case,
-    replay_directory,
-    replay_file,
-    write_case,
-    write_failure,
-)
-from .testing import PropertyFailure, for_all
-
-__all__ = [
-    "CAPL_REQUESTS",
-    "CAPL_RESPONSES",
-    "CampaignReport",
-    "CaplProgram",
-    "CorpusCase",
-    "DEFAULT_EVENTS",
-    "Discard",
-    "FuzzFailure",
-    "Gen",
-    "ORACLES",
-    "Oracle",
-    "OracleViolation",
-    "PropertyFailure",
-    "booleans",
-    "capl_cases",
-    "capl_precise_programs",
-    "capl_precise_statements",
-    "capl_programs",
-    "capl_statements",
-    "decode_value",
-    "derive_seed",
-    "encode_value",
-    "for_all",
-    "frequency",
-    "get_oracles",
-    "integers",
-    "is_locally_minimal",
-    "lists",
-    "load_case",
-    "one_of",
-    "process_pairs",
-    "process_terms",
-    "replay_directory",
-    "replay_file",
-    "run_campaign",
-    "sampled_from",
-    "shrink",
-    "shrink_candidates",
-    "stimuli_for",
-    "sub_alphabets",
-    "subsets",
-    "tuples",
-    "write_case",
-    "write_failure",
-]

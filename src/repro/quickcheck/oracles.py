@@ -43,7 +43,7 @@ from ..csp.laws import LAW_OPERANDS, LAWS, check_law
 from ..csp.lts import compile_lts, reachable_visible_traces
 from ..csp.process import Process
 from ..csp.traces import denotational_traces
-from ..engine import VerificationPipeline
+from ..engine.pipeline import VerificationPipeline
 from ..fdr.counterexample import FailureCounterexample, TraceCounterexample
 from ..fdr.normalise import NormalisedSpec, normalise
 from ..fdr.refine import check_failures_refinement_from, check_trace_refinement_from
@@ -516,7 +516,8 @@ _ROUNDTRIP_HEADER = "datatype msgs = reqSw | rptSw\nchannel send, rec : msgs\n"
 
 
 def check_roundtrip(term: Process) -> None:
-    from ..cspm import emit_process, load
+    from ..cspm.emitter import emit_process
+    from ..cspm.evaluator import load
 
     text = _ROUNDTRIP_HEADER + "P = " + emit_process(
         term, {"send": _SEND, "rec": _REC}
@@ -546,8 +547,10 @@ _CAPL_SPECS: Dict[str, MessageSpec] = {
 
 def simulate_capl(source: str, stimuli: Sequence[str]) -> List[Event]:
     """Run the program on the simulated bus; the observed CSP-style trace."""
-    from ..canbus import CanBus, CanFrame, Scheduler
-    from ..capl import CaplNode
+    from ..canbus.bus import CanBus
+    from ..canbus.frame import CanFrame
+    from ..canbus.scheduler import Scheduler
+    from ..capl.interpreter import CaplNode
 
     scheduler = Scheduler()
     bus = CanBus(scheduler)
@@ -565,7 +568,7 @@ def simulate_capl(source: str, stimuli: Sequence[str]) -> List[Event]:
 
 
 def check_extractor(value) -> None:
-    from ..translator import ModelExtractor
+    from ..translator.extractor import ModelExtractor
 
     program, stimuli = value
     if not isinstance(program, CaplProgram) or not program.handlers:
@@ -599,12 +602,14 @@ def check_learned_vs_extracted(program) -> None:
     extraction-precise fragment (:func:`~repro.quickcheck.gen.capl_precise_programs`)
     the two must be bidirectionally trace-equivalent; the reference
     teacher detects any disagreement during learning as a
-    :class:`~repro.learn.DivergenceError` carrying a concrete witness
+    :class:`~repro.learn.teacher.DivergenceError` carrying a concrete witness
     trace, pinning the bug to whichever side mispredicts the simulator.
     """
     from ..fdr.refine import check_trace_refinement
-    from ..learn import CaplSimulatorSUL, LearnError, ReferenceTeacher, learn
-    from ..translator import ModelExtractor
+    from ..learn.learner import learn
+    from ..learn.sul import CaplSimulatorSUL, LearnError
+    from ..learn.teacher import ReferenceTeacher
+    from ..translator.extractor import ModelExtractor
 
     if not isinstance(program, CaplProgram) or not program.handlers:
         raise Discard

@@ -27,22 +27,3 @@ An rv job is an ordinary ``kind: "trace"`` :class:`~repro.batch.spec.
 CheckSpec`, so per-trace checks shard over :mod:`repro.batch`, ``cspserve``
 and the :mod:`repro.exec` runtime unchanged -- and memoise for free.
 """
-
-from .check import TraceChecker, TraceViolation, check_trace_membership
-from .ingest import LogParseError, LogRecord, read_log, parse_candump_line
-from .mapping import EventMapping, UnknownFrameError
-from .specs import builtin_spec, ota_session_spec
-
-__all__ = [
-    "EventMapping",
-    "LogParseError",
-    "LogRecord",
-    "TraceChecker",
-    "TraceViolation",
-    "UnknownFrameError",
-    "builtin_spec",
-    "check_trace_membership",
-    "ota_session_spec",
-    "parse_candump_line",
-    "read_log",
-]

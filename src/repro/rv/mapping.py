@@ -3,14 +3,14 @@
 The specification models speak CSP events (``send.reqSw``, ``rec.rptUpd``
 -- the translator's channel convention); logs speak CAN identifiers and
 payload bytes.  :class:`EventMapping` bridges them through a parsed
-:class:`~repro.candb.Database`:
+:class:`~repro.candb.model.Database`:
 
 * the message definition names the event's *field* (``reqSw``), and its
   design-time sender node selects the *channel* through a configurable
   ``{node: channel}`` map (``{"VMG": "send", "ECU": "rec"}`` for the
   bundled OTA network);
 * in ``mode="signal"`` selected signals are decoded
-  (:func:`~repro.candb.decode_message` -- value-table labels when they
+  (:func:`~repro.candb.codec.decode_message` -- value-table labels when they
   match) and appended as further event fields, so a spec can constrain
   payload values, not just message order (``rec.rptUpd.success``);
 * frames whose identifier the database does not know follow the

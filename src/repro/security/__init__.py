@@ -5,85 +5,3 @@ the paper's SP-graph semantics, symbolic shared-key crypto, and reusable
 specification templates for integrity, confidentiality, authentication and
 flood-resistance properties.
 """
-
-from .crypto import (
-    Term,
-    can_forge,
-    deductive_closure,
-    enc,
-    is_enc,
-    is_key,
-    is_mac,
-    is_pair,
-    key,
-    mac,
-    nonce,
-    pair,
-    render_term,
-    subterms,
-    verify_mac,
-)
-from .intruder import IntruderBuilder, knowledge_lattice_size, replay_attacker
-from .attack_tree import (
-    ActionNode,
-    AndNode,
-    AttackTree,
-    OrNode,
-    SeqNode,
-    action,
-    all_of,
-    any_of,
-    attack_cost,
-    cheapest_feasible_attack,
-    feasible_attacks,
-    sequence_of,
-)
-from .properties import (
-    alternates,
-    chaos,
-    bounded_outstanding,
-    never_occurs,
-    precedes,
-    request_response,
-    run_process,
-)
-
-__all__ = [
-    "ActionNode",
-    "AndNode",
-    "AttackTree",
-    "IntruderBuilder",
-    "OrNode",
-    "SeqNode",
-    "Term",
-    "action",
-    "all_of",
-    "alternates",
-    "any_of",
-    "attack_cost",
-    "cheapest_feasible_attack",
-    "bounded_outstanding",
-    "can_forge",
-    "chaos",
-    "deductive_closure",
-    "enc",
-    "feasible_attacks",
-    "is_enc",
-    "is_key",
-    "is_mac",
-    "is_pair",
-    "key",
-    "knowledge_lattice_size",
-    "mac",
-    "never_occurs",
-    "nonce",
-    "pair",
-    "precedes",
-    "render_term",
-    "replay_attacker",
-    "request_response",
-    "run_process",
-    "sequence_of",
-    "subterms",
-    "verify_mac",
-]

@@ -19,25 +19,3 @@ Layering::
     client.py     ServerClient -- the fail-closed CI-gate client shape
     cli.py        the ``cspserve`` console script
 """
-
-from .client import ServerClient, ServerError
-from .core import Ticket, VerificationServer
-from .protocol import (
-    DEFAULT_MAX_REQUEST_BYTES,
-    DEFAULT_TENANT,
-    Rejection,
-    SERVER_PROTOCOL_VERSION,
-)
-from .stdio import serve_stdio
-
-__all__ = [
-    "DEFAULT_MAX_REQUEST_BYTES",
-    "DEFAULT_TENANT",
-    "Rejection",
-    "SERVER_PROTOCOL_VERSION",
-    "ServerClient",
-    "ServerError",
-    "Ticket",
-    "VerificationServer",
-    "serve_stdio",
-]

@@ -5,17 +5,3 @@ testing' programme: derive transition-covering test suites from CSP
 specification models and execute them against CAPL implementations on the
 simulated bus.
 """
-
-from .generator import bounded_traces, coverage_of, state_cover, transition_cover
-from .conformance import ConformanceReport, TestVerdict, run_suite, run_test
-
-__all__ = [
-    "ConformanceReport",
-    "TestVerdict",
-    "bounded_traces",
-    "coverage_of",
-    "run_suite",
-    "run_test",
-    "state_cover",
-    "transition_cover",
-]

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ..canbus import CanBus, CanFrame, Scheduler
+from ..canbus.bus import CanBus
+from ..canbus.frame import CanFrame
+from ..canbus.scheduler import Scheduler
 from ..capl.ast_nodes import Program
 from ..capl.interpreter import CaplNode, MessageSpec
 from ..capl.parser import parse

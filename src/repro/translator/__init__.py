@@ -4,61 +4,3 @@ Translates CAPL application code into CSPm implementation models through an
 ANTLR-style listener walk and a StringTemplate-style template group, then
 composes node models into system models for refinement checking.
 """
-
-from .templates import CSPM_TEMPLATES, Template, TemplateError, TemplateGroup
-from .listener import CaplListener, walk
-from .rules import (
-    Act,
-    Action,
-    Behaviour,
-    BehaviourBuilder,
-    CancelTimer,
-    ChannelConvention,
-    Choice,
-    Empty,
-    Loop,
-    Output,
-    ProcessRenderer,
-    Seq,
-    SetTimer,
-    TranslationError,
-    selector_process_name,
-)
-from .extractor import (
-    DeclarationCollector,
-    ExtractionResult,
-    ExtractorConfig,
-    ModelExtractor,
-)
-from .network import ComposedSystem, NetworkBuilder, NodeSource
-
-__all__ = [
-    "Act",
-    "Action",
-    "Behaviour",
-    "BehaviourBuilder",
-    "CSPM_TEMPLATES",
-    "CancelTimer",
-    "CaplListener",
-    "ChannelConvention",
-    "Choice",
-    "ComposedSystem",
-    "DeclarationCollector",
-    "Empty",
-    "ExtractionResult",
-    "ExtractorConfig",
-    "Loop",
-    "ModelExtractor",
-    "NetworkBuilder",
-    "NodeSource",
-    "Output",
-    "ProcessRenderer",
-    "Seq",
-    "SetTimer",
-    "Template",
-    "TemplateError",
-    "TemplateGroup",
-    "TranslationError",
-    "selector_process_name",
-    "walk",
-]

@@ -8,11 +8,12 @@ counts stay small because every pooled case forks real processes.
 
 import random
 
-from repro.batch import CheckSpec
 from repro.batch.executor import run_batch
-from repro.csp import event
-from repro.quickcheck import for_all, process_terms, sampled_from, tuples
+from repro.batch.spec import CheckSpec
+from repro.csp.events import event
+from repro.quickcheck.gen import process_terms, sampled_from, tuples
 from repro.quickcheck.oracles import ORACLES
+from repro.quickcheck.testing import for_all
 
 EVENTS = (event("a"), event("b"))
 PROCESSES = process_terms(EVENTS)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.batch import CheckSpec, dump_manifest
 from repro.batch.cli import main
+from repro.batch.spec import CheckSpec, dump_manifest
 from repro.cli_common import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
 from repro.csp.events import Event
 from repro.csp.process import Prefix, Stop

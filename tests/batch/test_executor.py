@@ -3,8 +3,8 @@
 import pytest
 
 from repro import api
-from repro.batch import CheckSpec, requirement_specs
 from repro.batch.executor import run_batch
+from repro.batch.spec import CheckSpec, requirement_specs
 from repro.csp.events import Event
 from repro.csp.process import Prefix, ProcessRef, Stop
 from repro.exec.runtime import execute_spec

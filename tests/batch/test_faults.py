@@ -10,8 +10,8 @@ untouched.
 import threading
 import time
 
-from repro.batch import CheckSpec
 from repro.batch.executor import run_batch
+from repro.batch.spec import CheckSpec
 
 
 def test_mixed_faults_isolate_per_job():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.batch import (
+from repro.batch.spec import (
     BATCH_FORMAT_VERSION,
     CheckSpec,
     JobResult,

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.canbus import (
-    CanBus,
-    CanFrame,
-    CanNode,
-    FunctionNode,
-    Scheduler,
-    ScriptedNode,
-)
-from repro.quickcheck import Discard, for_all, integers, lists
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.node import CanNode, FunctionNode, ScriptedNode
+from repro.canbus.scheduler import Scheduler
+from repro.quickcheck.gen import integers, lists
+from repro.quickcheck.oracles import Discard
+from repro.quickcheck.testing import for_all
 
 
 def make_bus(bitrate=500_000):

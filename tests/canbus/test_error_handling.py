@@ -1,7 +1,9 @@
 """Tests for error frames and bus-off (the CAN failure modes CAPL handles)."""
 
-from repro.canbus import CanBus, CanFrame, Scheduler
-from repro.capl import CaplNode, MessageSpec
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.scheduler import Scheduler
+from repro.capl.interpreter import CaplNode, MessageSpec
 
 
 def make_bus():
@@ -76,8 +78,8 @@ class TestBusOffAttackScenario:
     def test_silencing_the_ecu_stalls_the_update_session(self):
         """The wire-level counterpart of the interrupt-operator analysis:
         bus-off the ECU mid-session and the VMG never gets its result."""
-        from repro.ota import CAN_MESSAGE_SPECS
         from repro.ota.capl_sources import ECU_SOURCE, VMG_SOURCE
+        from repro.ota.messages import CAN_MESSAGE_SPECS
 
         bus, scheduler = make_bus()
         vmg = CaplNode("VMG", bus, VMG_SOURCE, CAN_MESSAGE_SPECS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.canbus import CanFrame, MAX_DLC, MAX_EXTENDED_ID, MAX_STANDARD_ID
+from repro.canbus.frame import CanFrame, MAX_DLC, MAX_EXTENDED_ID, MAX_STANDARD_ID
 
 
 class TestConstruction:

@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.canbus import (
-    CanBus,
-    CanFrame,
-    CanNode,
-    GatewayNode,
-    Scheduler,
-    ScriptedNode,
-    forward_ids,
-    forward_range,
-)
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.gateway import GatewayNode, forward_ids, forward_range
+from repro.canbus.node import CanNode, ScriptedNode
+from repro.canbus.scheduler import Scheduler
 
 
 class Recorder(CanNode):
@@ -115,7 +110,7 @@ class TestDomainIsolationScenario:
     def test_infotainment_attacker_cannot_reach_powertrain(self):
         """The firewall role: spoofed diagnostic frames from the exposed
         segment are not forwarded, while legitimate status traffic is."""
-        from repro.capl import CaplNode, MessageSpec
+        from repro.capl.interpreter import CaplNode, MessageSpec
 
         scheduler, infotainment, powertrain = two_segments()
         gateway = GatewayNode("GW").attach(infotainment).attach(powertrain)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.canbus import Scheduler, Timer
+from repro.canbus.scheduler import Scheduler
+from repro.canbus.timers import Timer
 
 
 class TestScheduler:

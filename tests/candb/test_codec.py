@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.candb import (
-    Message,
-    Signal,
-    decode_message,
-    decode_raw,
-    encode_message,
-    encode_raw,
-)
-from repro.quickcheck import Discard, Gen, for_all, integers, sampled_from, tuples
+from repro.candb.codec import decode_message, decode_raw, encode_message, encode_raw
+from repro.candb.model import Message, Signal
+from repro.quickcheck.gen import Gen, integers, sampled_from, tuples
+from repro.quickcheck.oracles import Discard
+from repro.quickcheck.testing import for_all
 
 
 def little(start, length, signed=False, factor=1.0, offset=0.0):

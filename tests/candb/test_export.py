@@ -4,9 +4,10 @@ import pathlib
 
 import pytest
 
-from repro.candb import export_database, message_inventory, parse_dbc, sanitize
 from repro.candb.cli import main as dbc2cspm_main
-from repro.cspm import load
+from repro.candb.cspm_export import export_database, message_inventory, sanitize
+from repro.candb.parser import parse_dbc
+from repro.cspm.evaluator import load
 
 DATA_DBC = pathlib.Path(__file__).parents[2] / "src/repro/ota/data/ota_update.dbc"
 

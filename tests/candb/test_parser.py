@@ -4,7 +4,8 @@ import pathlib
 
 import pytest
 
-from repro.candb import Database, DbcParseError, parse_dbc, parse_dbc_file
+from repro.candb.model import Database
+from repro.candb.parser import DbcParseError, parse_dbc, parse_dbc_file
 
 SAMPLE = """\
 VERSION "demo network"

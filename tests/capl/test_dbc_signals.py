@@ -10,9 +10,11 @@ import pathlib
 
 import pytest
 
-from repro.canbus import CanBus, Scheduler
-from repro.candb import parse_dbc, parse_dbc_file
-from repro.capl import CaplNode, CaplRuntimeError
+from repro.canbus.bus import CanBus
+from repro.canbus.scheduler import Scheduler
+from repro.candb.parser import parse_dbc, parse_dbc_file
+from repro.capl.builtins import CaplRuntimeError
+from repro.capl.interpreter import CaplNode
 
 DATA_DBC = pathlib.Path(__file__).parents[2] / "src/repro/ota/data/ota_update.dbc"
 
@@ -81,12 +83,12 @@ class TestSignalReads:
             "variables { int speed = 0; int temp = 0; }\n"
             "on message status { speed = this.Speed; temp = this.Temp; }"
         )
-        from repro.candb import encode_message
+        from repro.candb.codec import encode_message
 
         database = parse_dbc(SCALED_DBC)
         message = database.message_by_name("status")
         payload = encode_message(message, {"Speed": 88, "Temp": 0})
-        from repro.canbus import CanFrame
+        from repro.canbus.frame import CanFrame
 
         node.deliver(CanFrame(300, payload, name="status"))
         assert node.globals["speed"] == 88

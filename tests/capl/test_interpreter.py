@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.canbus import CanBus, CanFrame, Scheduler
-from repro.capl import CaplNode, CaplRuntimeError, MessageSpec
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.scheduler import Scheduler
+from repro.capl.builtins import CaplRuntimeError
+from repro.capl.interpreter import CaplNode, MessageSpec
 
 SPECS = {
     "reqSw": MessageSpec(0x101, 1),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capl import CaplSyntaxError, parse_number, parse_string, tokenize
+from repro.capl.lexer import CaplSyntaxError, parse_number, parse_string, tokenize
 
 
 def kinds(source):

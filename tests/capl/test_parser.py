@@ -5,10 +5,14 @@ import os
 
 import pytest
 
-from repro.canbus import CanBus, CanFrame, Scheduler
-from repro.capl import CaplNode, CaplSyntaxError, parse
-from repro.capl import ast
-from repro.learn import derive_message_specs
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.scheduler import Scheduler
+from repro.capl import ast_nodes as ast
+from repro.capl.interpreter import CaplNode
+from repro.capl.lexer import CaplSyntaxError
+from repro.capl.parser import parse
+from repro.learn.sul import derive_message_specs
 from repro.ota.capl_sources import ECU_SOURCE, VMG_SOURCE
 
 

@@ -26,10 +26,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from repro.batch import CheckSpec, dump_manifest  # noqa: E402
-from repro.csp import event  # noqa: E402
+from repro.batch.spec import CheckSpec, dump_manifest  # noqa: E402
+from repro.csp.events import event  # noqa: E402
 from repro.exec.runtime import execute_spec  # noqa: E402
-from repro.quickcheck import process_terms, sampled_from, tuples  # noqa: E402
+from repro.quickcheck.gen import process_terms, sampled_from, tuples  # noqa: E402
 
 SEED = 20190624  # the paper's DSN-W publication date
 CASE_COUNT = 30

@@ -18,8 +18,8 @@ import os
 
 import pytest
 
-from repro.batch import CheckSpec, load_manifest
 from repro.batch.executor import run_batch
+from repro.batch.spec import CheckSpec, load_manifest
 from repro.exec.runtime import execute_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))

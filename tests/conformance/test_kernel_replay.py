@@ -49,7 +49,8 @@ def test_warm_entries_load_as_frozen_kernels(tmp_path):
     from repro.csp.events import AlphabetTable, Event
     from repro.csp.lts import compile_lts
     from repro.csp.process import Environment, Prefix, Stop
-    from repro.engine import DiskCache, structural_key
+    from repro.engine.cache import structural_key
+    from repro.engine.diskcache import DiskCache
 
     process = Prefix(Event("a"), Prefix(Event("b"), Stop()))
     env = Environment()

@@ -12,8 +12,8 @@ import os
 
 from repro.batch.executor import run_batch
 from repro.exec.resultcache import RESULT_SUFFIX, cacheable
-from repro.server import VerificationServer
 from repro.server.client import ServerClient
+from repro.server.core import VerificationServer
 from repro.server.http import HttpFrontend
 
 from .test_conformance import CASE_FILES, canonical_bytes, expected_bytes, load_case

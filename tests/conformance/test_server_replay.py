@@ -14,11 +14,12 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.batch import JobResult
-from repro.server import VerificationServer, serve_stdio
+from repro.batch.spec import JobResult
 from repro.server.client import ServerClient
+from repro.server.core import VerificationServer
 from repro.server.http import HttpFrontend
 from repro.server.protocol import check_request
+from repro.server.stdio import serve_stdio
 
 from .test_conformance import CASE_FILES, canonical_bytes, expected_bytes, load_case
 

@@ -17,7 +17,8 @@ import random
 
 import pytest
 
-from repro.csp import Alphabet, Channel, Environment, event
+from repro.csp.events import Alphabet, Channel, event
+from repro.csp.process import Environment
 
 
 def _session_seed() -> int:

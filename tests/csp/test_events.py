@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.csp import Alphabet, Channel, Event, TAU, TICK, event, parse_event
+from repro.csp.events import Alphabet, Channel, Event, TAU, TICK, event, parse_event
 
 
 class TestEvent:

@@ -2,23 +2,15 @@
 
 import pytest
 
-from repro.csp import (
-    Environment,
-    Interrupt,
-    Prefix,
-    SKIP,
-    STOP,
-    TICK,
-    compile_lts,
-    denotational_traces,
-    event,
-    reachable_visible_traces,
-    ref,
-    sequence,
-    transitions,
-)
-from repro.cspm import emit_process, load, parse_expression
-from repro.cspm import ast as cspm_ast
+from repro.csp.events import TICK, event
+from repro.csp.lts import compile_lts, reachable_visible_traces
+from repro.csp.process import Environment, Interrupt, Prefix, SKIP, STOP, ref, sequence
+from repro.csp.semantics import transitions
+from repro.csp.traces import denotational_traces
+from repro.cspm import ast_nodes as cspm_ast
+from repro.cspm.emitter import emit_process
+from repro.cspm.evaluator import load
+from repro.cspm.parser import parse_expression
 
 A, B, C = event("a"), event("b"), event("c")
 

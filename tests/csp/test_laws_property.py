@@ -9,23 +9,13 @@ print the session seed and a shrunk repro; replay with ``REPRO_SEED``.
 
 import pytest
 
-from repro.csp import (
-    Hiding,
-    Prefix,
-    STOP,
-    compile_lts,
-    denotational_traces,
-    event,
-    reachable_visible_traces,
-)
+from repro.csp.events import event
 from repro.csp.laws import LAW_OPERANDS, LAWS, check_law, traces_equal
-from repro.quickcheck import (
-    DEFAULT_EVENTS,
-    for_all,
-    process_terms,
-    sub_alphabets,
-    tuples,
-)
+from repro.csp.lts import compile_lts, reachable_visible_traces
+from repro.csp.process import Hiding, Prefix, STOP
+from repro.csp.traces import denotational_traces
+from repro.quickcheck.gen import DEFAULT_EVENTS, process_terms, sub_alphabets, tuples
+from repro.quickcheck.testing import for_all
 
 EVENTS = DEFAULT_EVENTS
 BOUND = 4
@@ -95,7 +85,7 @@ def test_operational_equals_denotational(repro_seed):
 
 
 def test_hiding_everything_leaves_only_tick_traces(repro_seed):
-    from repro.csp import Alphabet
+    from repro.csp.events import Alphabet
 
     full = Alphabet(EVENTS)
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import StateSpaceLimitExceeded, compile_lts, reachable_visible_traces
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     GenParallel,
@@ -12,11 +13,7 @@ from repro.csp import (
     Prefix,
     SKIP,
     STOP,
-    StateSpaceLimitExceeded,
-    compile_lts,
-    event,
     prefix,
-    reachable_visible_traces,
     ref,
     sequence,
 )

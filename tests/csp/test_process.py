@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
-    Channel,
+from repro.csp.events import Alphabet, Channel, TAU, TICK, event
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     GenParallel,
@@ -17,9 +16,6 @@ from repro.csp import (
     SKIP,
     STOP,
     SeqComp,
-    TAU,
-    TICK,
-    event,
     external_choice,
     input_choice,
     interleave_all,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, TAU, TICK, event
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     GenParallel,
@@ -16,15 +16,10 @@ from repro.csp import (
     SKIP,
     STOP,
     SeqComp,
-    TAU,
-    TICK,
-    UnguardedRecursionError,
-    event,
-    initials,
     prefix,
     ref,
-    transitions,
 )
+from repro.csp.semantics import UnguardedRecursionError, initials, transitions
 
 
 def events_of(process, env=None):

@@ -2,19 +2,12 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
-    Environment,
-    Prefix,
-    SKIP,
-    STOP,
-    TOCK,
-    compile_lts,
-    event,
-    ref,
-    sequence,
-)
+from repro import api
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import Environment, Prefix, SKIP, STOP, ref, sequence
 from repro.csp.timed import (
+    TOCK,
     deadline_spec,
     periodic,
     timed_run,
@@ -23,7 +16,6 @@ from repro.csp.timed import (
     tockify_lts,
     wait,
 )
-from repro import api
 
 A, B = event("a"), event("b")
 ALPHABET = Alphabet.of(A, B)
@@ -188,9 +180,10 @@ class TestTimedExtractorIntegration:
     def test_extracted_timer_events_compose_with_timed_monitor(self):
         """The extractor's setTimer/timeout events + the timed monitor give
         a deadline-analysable model of the VMG's session timer."""
-        from repro.csp import GenParallel
-        from repro.translator import ChannelConvention, ExtractorConfig, ModelExtractor
+        from repro.csp.process import GenParallel
         from repro.ota.capl_sources import VMG_SOURCE
+        from repro.translator.extractor import ExtractorConfig, ModelExtractor
+        from repro.translator.rules import ChannelConvention
 
         config = ExtractorConfig(
             convention=ChannelConvention("rec", "send"), timer_monitors=False

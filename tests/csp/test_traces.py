@@ -6,8 +6,9 @@ and denotational semantics are cross-checked on a suite of small processes.
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, TICK, event
+from repro.csp.lts import compile_lts, reachable_visible_traces
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     GenParallel,
@@ -19,19 +20,17 @@ from repro.csp import (
     SKIP,
     STOP,
     SeqComp,
-    TICK,
-    compile_lts,
+    ref,
+    sequence,
+)
+from repro.csp.traces import (
     denotational_traces,
-    event,
     format_trace,
     hide_trace,
     interleave_traces,
     is_prefix,
     merge_traces,
     prefix_closure,
-    reachable_visible_traces,
-    ref,
-    sequence,
     trace_refines,
 )
 

@@ -1,8 +1,7 @@
 """Unit tests for the CSPm emitter and script builder."""
 
-from repro.csp import (
-    Alphabet,
-    Channel,
+from repro.csp.events import Alphabet, Channel, event
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     GenParallel,
@@ -15,17 +14,16 @@ from repro.csp import (
     SKIP,
     STOP,
     SeqComp,
-    event,
 )
-from repro.cspm import (
+from repro.cspm.emitter import (
     ScriptBuilder,
     emit_alphabet,
     emit_event,
     emit_process,
     emit_value,
     environment_to_script,
-    load,
 )
+from repro.cspm.evaluator import load
 
 A, B = event("a"), event("b")
 

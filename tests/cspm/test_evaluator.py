@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, event
+from repro.csp.process import (
     ExternalChoice,
     GenParallel,
     Interleave,
@@ -11,9 +11,8 @@ from repro.csp import (
     ProcessRef,
     SKIP,
     STOP,
-    event,
 )
-from repro.cspm import CspmEvaluationError, load
+from repro.cspm.evaluator import CspmEvaluationError, load
 from repro.cspm.prelude import SP02_FLAWED_SCRIPT, SP02_SCRIPT
 
 
@@ -221,7 +220,8 @@ class TestAssertions:
 
 class TestAlphabetisedParallel:
     def test_sides_confined_to_their_alphabets(self):
-        from repro.csp import compile_lts, event
+        from repro.csp.events import event
+        from repro.csp.lts import compile_lts
 
         model = load(
             "datatype m = a | b | c\nchannel ch : m\n"
@@ -236,7 +236,8 @@ class TestAlphabetisedParallel:
         assert lts.walk([event("ch", "c")]) is not None
 
     def test_intersection_synchronises(self):
-        from repro.csp import compile_lts, event
+        from repro.csp.events import event
+        from repro.csp.lts import compile_lts
 
         model = load(
             "datatype m = a | b\nchannel ch : m\n"

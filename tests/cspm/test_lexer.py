@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cspm import CspmSyntaxError, tokenize
+from repro.cspm.lexer import CspmSyntaxError, tokenize
 
 
 def kinds(source):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cspm import CspmSyntaxError, parse, parse_expression
-from repro.cspm import ast
+from repro.cspm import ast_nodes as ast
+from repro.cspm.lexer import CspmSyntaxError
+from repro.cspm.parser import parse, parse_expression
 
 
 class TestDeclarations:

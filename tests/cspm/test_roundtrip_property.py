@@ -8,9 +8,12 @@ terms come from the shared :mod:`repro.quickcheck` generators; failures
 print the session seed and a shrunk repro (replay via ``REPRO_SEED``).
 """
 
-from repro.csp import Channel, denotational_traces
-from repro.cspm import emit_process, load
-from repro.quickcheck import for_all, process_terms
+from repro.csp.events import Channel
+from repro.csp.traces import denotational_traces
+from repro.cspm.emitter import emit_process
+from repro.cspm.evaluator import load
+from repro.quickcheck.gen import process_terms
+from repro.quickcheck.testing import for_all
 
 SEND = Channel("send", ["reqSw", "rptSw"])
 REC = Channel("rec", ["reqSw", "rptSw"])

@@ -8,12 +8,9 @@ import pytest
 from repro.csp.events import AlphabetTable, Event
 from repro.csp.lts import StateSpaceLimitExceeded, compile_lts
 from repro.csp.process import Environment, Prefix, ProcessRef, Stop
-from repro.engine import (
-    CompilationCache,
-    DiskCache,
-    VerificationPipeline,
-    structural_key,
-)
+from repro.engine.cache import CompilationCache, structural_key
+from repro.engine.diskcache import DiskCache
+from repro.engine.pipeline import VerificationPipeline
 from repro.exec.keys import DISKCACHE_FORMAT_VERSION, lts_key_digest
 
 A, B, C = Event("a"), Event("b"), Event("c")

@@ -16,15 +16,9 @@ import pathlib
 
 import pytest
 
-from repro.csp import (
-    TAU,
-    TAU_ID,
-    TICK,
-    TICK_ID,
-    AlphabetTable,
-    Alphabet,
+from repro.csp.events import Alphabet, AlphabetTable, Event, TAU, TAU_ID, TICK, TICK_ID
+from repro.csp.process import (
     Environment,
-    Event,
     GenParallel,
     InternalChoice,
     Prefix,
@@ -32,8 +26,9 @@ from repro.csp import (
     Stop,
     external_choice,
 )
-from repro.engine import CompilationCache, VerificationPipeline, structural_key
-from repro.fdr import check_failures_refinement_from, check_trace_refinement_from
+from repro.engine.cache import CompilationCache, structural_key
+from repro.engine.pipeline import VerificationPipeline
+from repro.fdr.refine import check_failures_refinement_from, check_trace_refinement_from
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.scenario import extract_system
 

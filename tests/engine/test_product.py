@@ -14,8 +14,9 @@ pinned here:
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import StateSpaceLimitExceeded
+from repro.csp.process import (
     CompiledProcess,
     Environment,
     GenParallel,
@@ -23,13 +24,12 @@ from repro.csp import (
     Interleave,
     Renaming,
     Stop,
-    StateSpaceLimitExceeded,
-    event,
     prefix,
     ref,
 )
-from repro.engine import ProductLTS, VerificationPipeline
-from repro.fdr import check_failures_refinement_from, check_trace_refinement_from
+from repro.engine.pipeline import VerificationPipeline
+from repro.engine.product import ProductLTS
+from repro.fdr.refine import check_failures_refinement_from, check_trace_refinement_from
 
 A, B, C, D = event("a"), event("b"), event("c"), event("d")
 

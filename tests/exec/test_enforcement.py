@@ -55,7 +55,8 @@ def test_one_refinement_route():
     # switch, a partial-order reduction or an assertion wrapper layer
     # growing back next to it would trip these
     import repro.fdr as fdr
-    from repro.engine import ProductLTS, VerificationPipeline
+    from repro.engine.pipeline import VerificationPipeline
+    from repro.engine.product import ProductLTS
 
     keywords = inspect.signature(VerificationPipeline).parameters
     assert "on_the_fly" not in keywords
@@ -139,7 +140,8 @@ def test_reexported_name_is_gone(module, name):
 def test_api_execute_check_routes_through_the_runtime(tmp_path):
     from repro import api
     from repro.batch.spec import CheckSpec
-    from repro.csp import Event, Prefix, STOP
+    from repro.csp.events import Event
+    from repro.csp.process import Prefix, STOP
 
     term = Prefix(Event("a"), STOP)
     spec = CheckSpec.refinement(term, term, "T")

@@ -11,7 +11,8 @@ import hashlib
 import json
 
 from repro.batch.spec import CheckSpec
-from repro.csp import Event, Prefix, STOP
+from repro.csp.events import Event
+from repro.csp.process import Prefix, STOP
 from repro.exec.keys import (
     DISKCACHE_FORMAT_VERSION,
     ENGINE_SEMANTICS_VERSION,

@@ -10,7 +10,8 @@ import os
 import pytest
 
 from repro.batch.spec import CheckSpec, JobResult
-from repro.csp import Event, Prefix, STOP
+from repro.csp.events import Event
+from repro.csp.process import Prefix, STOP
 from repro.exec.keys import result_key_digest
 from repro.exec.resultcache import RESULT_SUFFIX, ResultCache, cacheable
 

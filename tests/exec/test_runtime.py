@@ -4,7 +4,8 @@ invisible in the canonical bytes, visible only in the counters."""
 import pytest
 
 from repro.batch.spec import CheckSpec
-from repro.csp import Event, Prefix, STOP
+from repro.csp.events import Event
+from repro.csp.process import Prefix, STOP
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import (
     execute_cached,

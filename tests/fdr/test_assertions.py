@@ -6,20 +6,21 @@ and through a loaded script's ``check_assertions`` and ``cspcheck`` report
 
 import pytest
 
-from repro.csp import (
+from repro.csp.events import event
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     InternalChoice,
     Prefix,
     STOP,
-    event,
     ref,
     sequence,
 )
 import repro.fdr
 from repro import api
-from repro.cspm import load
-from repro.engine import VerificationPipeline
+from repro.fdr import counterexample, normalise, refine
+from repro.cspm.evaluator import load
+from repro.engine.pipeline import VerificationPipeline
 from repro.fdr.cli import main as cspcheck_main
 
 A, B = event("a"), event("b")
@@ -119,8 +120,8 @@ class TestApiOneShots:
             "divergence_free",
             "deterministic",
         ):
-            assert not hasattr(repro.fdr, gone)
-            assert gone not in repro.fdr.__all__
+            for module in (repro.fdr, counterexample, normalise, refine):
+                assert not hasattr(module, gone), (module.__name__, gone)
 
     def test_trace_refinement(self):
         assert api.check_refinement(Prefix(A, STOP), STOP, "T").passed

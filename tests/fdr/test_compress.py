@@ -1,22 +1,22 @@
 """Tests for strong-bisimulation minimisation (FDR's sbisim analogue)."""
 
-from repro.csp import (
+from repro.csp.events import event
+from repro.csp.lts import compile_lts, reachable_visible_traces
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     Prefix,
     SKIP,
     STOP,
-    compile_lts,
-    event,
     interleave_all,
     prefix,
-    reachable_visible_traces,
     ref,
     sequence,
 )
-from repro.fdr import check_deadlock_free, check_trace_refinement
+from repro.fdr.refine import check_deadlock_free, check_trace_refinement
 from repro.passes.sbisim import bisimulation_classes, minimise
-from repro.quickcheck import for_all, process_terms, tuples
+from repro.quickcheck.gen import process_terms, tuples
+from repro.quickcheck.testing import for_all
 
 A, B, C = event("a"), event("b"), event("c")
 

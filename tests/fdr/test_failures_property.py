@@ -13,10 +13,13 @@ failures print the session seed and a shrunk repro (replay via
 ``REPRO_SEED``).
 """
 
-from repro.csp import Alphabet, compile_lts, denotational_traces, event
+from repro.csp.events import Alphabet, event
 from repro.csp.failures import denotational_failures, lts_failures
-from repro.fdr import check_failures_refinement
-from repro.quickcheck import for_all, process_terms, tuples
+from repro.csp.lts import compile_lts
+from repro.csp.traces import denotational_traces
+from repro.fdr.refine import check_failures_refinement
+from repro.quickcheck.gen import process_terms, tuples
+from repro.quickcheck.testing import for_all
 
 A, B = event("a"), event("b")
 SIGMA = Alphabet.of(A, B)

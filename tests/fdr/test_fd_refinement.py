@@ -1,18 +1,17 @@
 """Tests for failures-divergences refinement and CHAOS."""
 
-from repro.csp import (
-    Alphabet,
+from repro import api
+from repro.csp.events import Alphabet, event
+from repro.csp.process import (
     Environment,
     Hiding,
     InternalChoice,
     Prefix,
     STOP,
-    event,
     ref,
     sequence,
 )
-from repro import api
-from repro.fdr import DivergenceCounterexample
+from repro.fdr.counterexample import DivergenceCounterexample
 from repro.security.properties import chaos
 
 A, B = event("a"), event("b")
@@ -97,7 +96,7 @@ class TestChaos:
 
 class TestCspmFdAssertions:
     def test_fd_assert_in_script(self):
-        from repro.cspm import load
+        from repro.cspm.evaluator import load
 
         model = load(
             "datatype m = a\nchannel c : m\n"

@@ -1,7 +1,8 @@
 """Unit tests for specification normalisation."""
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     Hiding,
@@ -9,12 +10,10 @@ from repro.csp import (
     Prefix,
     SKIP,
     STOP,
-    compile_lts,
-    event,
     ref,
     sequence,
 )
-from repro.fdr import minimal_sets, normalise, tau_cycle_states
+from repro.fdr.normalise import minimal_sets, normalise, tau_cycle_states
 
 A, B, C = event("a"), event("b"), event("c")
 

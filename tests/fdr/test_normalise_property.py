@@ -8,9 +8,11 @@ that every refinement check depends on.  Random inputs come from the shared
 shrunk repro (replay via ``REPRO_SEED``).
 """
 
-from repro.csp import compile_lts, denotational_traces
-from repro.fdr import normalise
-from repro.quickcheck import DEFAULT_EVENTS, for_all, process_terms
+from repro.csp.lts import compile_lts
+from repro.csp.traces import denotational_traces
+from repro.fdr.normalise import normalise
+from repro.quickcheck.gen import DEFAULT_EVENTS, process_terms
+from repro.quickcheck.testing import for_all
 
 PROCESSES = process_terms(DEFAULT_EVENTS, max_depth=4)
 BOUND = 4

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     GenParallel,
@@ -12,18 +13,18 @@ from repro.csp import (
     Prefix,
     SKIP,
     STOP,
-    compile_lts,
-    event,
     prefix,
     ref,
     sequence,
 )
-from repro.fdr import (
+from repro.fdr.counterexample import (
     DeadlockCounterexample,
     DivergenceCounterexample,
     FailureCounterexample,
     NondeterminismCounterexample,
     TraceCounterexample,
+)
+from repro.fdr.refine import (
     check_deadlock_free,
     check_deterministic,
     check_divergence_free,

@@ -8,9 +8,13 @@ failures print the session seed and a shrunk repro (replay via
 ``REPRO_SEED``).
 """
 
-from repro.csp import STOP, compile_lts, denotational_traces, event
-from repro.fdr import check_trace_refinement
-from repro.quickcheck import for_all, process_terms, tuples
+from repro.csp.events import event
+from repro.csp.lts import compile_lts
+from repro.csp.process import STOP
+from repro.csp.traces import denotational_traces
+from repro.fdr.refine import check_trace_refinement
+from repro.quickcheck.gen import process_terms, tuples
+from repro.quickcheck.testing import for_all
 
 # two events keep refinement genuinely two-sided: with more, random pairs
 # almost never refine each other and the preorder tests check nothing

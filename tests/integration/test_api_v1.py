@@ -7,7 +7,8 @@ import pytest
 import repro
 from repro import api
 from repro.batch.spec import CheckSpec
-from repro.csp import Environment, Event, Prefix, STOP, ref
+from repro.csp.events import Event
+from repro.csp.process import Environment, Prefix, STOP, ref
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import execute_cached, execute_spec
 

@@ -10,8 +10,8 @@ import os
 
 import pytest
 
-from repro.quickcheck import ORACLES, load_case, replay_file
-from repro.quickcheck.corpus import corpus_files
+from repro.quickcheck.corpus import corpus_files, load_case, replay_file
+from repro.quickcheck.oracles import ORACLES
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 CORPUS_PATHS = corpus_files(CORPUS_DIR)

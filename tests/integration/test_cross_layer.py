@@ -2,14 +2,20 @@
 
 import pathlib
 
-from repro.canbus import CanBus, Scheduler
-from repro.candb import decode_message, encode_message, export_database, parse_dbc_file
-from repro.capl import CaplNode
-from repro.csp import compile_lts, event
-from repro.cspm import load
 from repro import api
+from repro.canbus.bus import CanBus
+from repro.canbus.scheduler import Scheduler
+from repro.candb.codec import decode_message, encode_message
+from repro.candb.cspm_export import export_database
+from repro.candb.parser import parse_dbc_file
+from repro.capl.interpreter import CaplNode
+from repro.csp.events import event
+from repro.csp.lts import compile_lts
+from repro.cspm.evaluator import load
 from repro.ota.capl_sources import ECU_SOURCE, VMG_SOURCE
-from repro.translator import ChannelConvention, ModelExtractor, NetworkBuilder
+from repro.translator.extractor import ModelExtractor
+from repro.translator.network import NetworkBuilder
+from repro.translator.rules import ChannelConvention
 
 DATA = pathlib.Path(__file__).parents[2] / "src/repro/ota/data"
 

@@ -10,9 +10,10 @@ exchange must be admitted by the extracted model.  Failures print the
 session seed and a shrunk program (replay via ``REPRO_SEED``).
 """
 
-from repro.quickcheck import capl_cases, capl_programs, for_all
+from repro.quickcheck.gen import capl_cases, capl_programs
 from repro.quickcheck.oracles import check_extractor, simulate_capl
-from repro.translator import ModelExtractor
+from repro.quickcheck.testing import for_all
+from repro.translator.extractor import ModelExtractor
 
 
 def test_simulated_behaviour_is_admitted_by_extracted_model(repro_seed):

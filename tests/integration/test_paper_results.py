@@ -10,18 +10,17 @@ Each test pins one claim of the paper:
   simulation is exposed by refinement checking.
 """
 
-from repro.csp import compile_lts, event
-from repro.cspm import load, prelude
 from repro import api
-from repro.ota import (
-    build_paper_system,
-    build_secured_system,
-    run_workflow,
-)
-from repro.security import action, feasible_attacks, sequence_of
-from repro.security.properties import never_occurs
-from repro.translator import ModelExtractor
+from repro.csp.events import event
+from repro.csp.lts import compile_lts
+from repro.cspm import prelude
+from repro.cspm.evaluator import load
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
+from repro.ota.models import build_paper_system, build_secured_system
+from repro.ota.scenario import run_workflow
+from repro.security.attack_tree import action, feasible_attacks, sequence_of
+from repro.security.properties import never_occurs
+from repro.translator.extractor import ModelExtractor
 
 
 class TestSectionVI:

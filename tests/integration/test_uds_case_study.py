@@ -27,12 +27,13 @@ class TestUdsSecurityAccess:
 
     def test_honest_unlock_still_works(self):
         """Security must not break the handshake for the legitimate tester."""
-        from repro.csp import compile_lts, ref
+        from repro.csp.lts import compile_lts
+        from repro.csp.process import ref
 
         env, key_send, _fake, unlock, _alphabet = uds.build_uds_model(False)
         lts = compile_lts(ref("UDS_HONEST"), env)
         seed = uds.SEEDS[0]
-        from repro.csp import Event
+        from repro.csp.events import Event
 
         walk = lts.walk(
             [
@@ -45,7 +46,9 @@ class TestUdsSecurityAccess:
         assert walk is not None
 
     def test_intruder_cannot_forge_fresh_key(self):
-        from repro.csp import Event, compile_lts, ref
+        from repro.csp.events import Event
+        from repro.csp.lts import compile_lts
+        from repro.csp.process import ref
 
         env, key_send, fake, unlock, _alphabet = uds.build_uds_model(False)
         lts = compile_lts(ref("UDS_ATTACKED"), env)

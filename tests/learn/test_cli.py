@@ -6,9 +6,12 @@ import os
 import pytest
 
 import repro.translator.extractor as extractor_module
+from repro.capl.parser import Parser
 from repro.cli_common import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
-from repro.learn import CaplSimulatorSUL, ReferenceTeacher, derive_message_specs, learn
 from repro.learn.cli import main
+from repro.learn.learner import learn
+from repro.learn.sul import CaplSimulatorSUL, derive_message_specs
+from repro.learn.teacher import ReferenceTeacher
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 PING = os.path.join(CORPUS_DIR, "ping.can")
@@ -30,7 +33,7 @@ def _library_fingerprint(path):
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
     from repro.csp.lts import compile_lts
-    from repro.translator import ModelExtractor
+    from repro.translator.extractor import ModelExtractor
 
     model = ModelExtractor().extract(source, "ECU").load()
     reference = compile_lts(model.process("ECU"), model.env, max_states=100_000)
@@ -60,8 +63,8 @@ def test_cspm_format_round_trips_through_the_parser(capsys):
     assert text.startswith("datatype msgs = ")
     assert "LEARNED_0 = " in text
 
-    from repro.cspm import load
     from repro.csp.lts import compile_lts
+    from repro.cspm.evaluator import load
     from repro.fdr.refine import check_trace_refinement
 
     model = load(text)
@@ -78,6 +81,22 @@ def test_bounded_teacher_agrees_with_the_reference_teacher(capsys):
     assert main([DUO, "--format", "json", "--teacher", "bounded"]) == EXIT_OK
     document = json.loads(capsys.readouterr().out)
     assert document["fingerprint"] == _library_fingerprint(DUO)
+
+
+@pytest.mark.parametrize("teacher", ["reference", "bounded"])
+def test_one_capl_parse_per_run(teacher, capsys, monkeypatch):
+    # the message specs, the simulator and the reference extraction share
+    # one parsed program
+    parses = []
+    parse_program = Parser.parse_program
+
+    def counting(self):
+        parses.append(self)
+        return parse_program(self)
+
+    monkeypatch.setattr(Parser, "parse_program", counting)
+    assert main([DUO, "--teacher", teacher]) == EXIT_OK
+    assert len(parses) == 1
 
 
 def test_stats_go_to_stderr(capsys):

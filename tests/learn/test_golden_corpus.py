@@ -13,9 +13,11 @@ import os
 import pytest
 
 from repro.csp.lts import compile_lts
-from repro.learn import CaplSimulatorSUL, ReferenceTeacher, derive_message_specs, learn
+from repro.learn.learner import learn
+from repro.learn.sul import CaplSimulatorSUL, derive_message_specs
+from repro.learn.teacher import ReferenceTeacher
 from repro.ota.capl_sources import ECU_SECURITY_ACCESS_SOURCE
-from repro.translator import ModelExtractor
+from repro.translator.extractor import ModelExtractor
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 

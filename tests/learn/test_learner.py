@@ -3,20 +3,14 @@
 import pytest
 
 import repro.translator.extractor as extractor_module
-from repro.csp import event
+from repro.csp.events import event
 from repro.csp.kernel import CompactLTS
 from repro.csp.lts import compile_lts
-from repro.learn import (
-    CaplSimulatorSUL,
-    DivergenceError,
-    LearnError,
-    LtsSUL,
-    ReferenceTeacher,
-    derive_message_specs,
-    learn,
-)
+from repro.learn.learner import learn
+from repro.learn.sul import CaplSimulatorSUL, LearnError, LtsSUL, derive_message_specs
+from repro.learn.teacher import DivergenceError, ReferenceTeacher
 from repro.obs.trace import Tracer
-from repro.translator import ModelExtractor
+from repro.translator.extractor import ModelExtractor
 
 A = event("send", "reqA")
 

@@ -17,15 +17,12 @@ from repro.batch.spec import PASS
 from repro.csp.lts import compile_lts
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import execute_cached, execute_spec
-from repro.learn import (
-    CaplSimulatorSUL,
-    ReferenceTeacher,
-    derive_message_specs,
-    equivalence_specs,
-    learn,
-)
-from repro.quickcheck import capl_precise_programs
-from repro.translator import ModelExtractor
+from repro.learn.learner import learn
+from repro.learn.specs import equivalence_specs
+from repro.learn.sul import CaplSimulatorSUL, derive_message_specs
+from repro.learn.teacher import ReferenceTeacher
+from repro.quickcheck.gen import capl_precise_programs
+from repro.translator.extractor import ModelExtractor
 
 CAMPAIGN_SEED = 1094
 CASES = 50

@@ -12,14 +12,16 @@ Inputs come from the shared seeded generators (replay any failure with
   reference (L* converges to the minimal machine).
 """
 
-from repro.csp import event
+from repro.csp.events import event
 from repro.csp.kernel import CompactLTS
 from repro.csp.lts import compile_lts
 from repro.fdr.refine import check_trace_refinement
-from repro.learn import CaplSimulatorSUL, LtsSUL, ReferenceTeacher, learn
-from repro.learn.sul import derive_message_specs
-from repro.quickcheck import Gen, capl_precise_programs, for_all
-from repro.translator import ModelExtractor
+from repro.learn.learner import learn
+from repro.learn.sul import CaplSimulatorSUL, LtsSUL, derive_message_specs
+from repro.learn.teacher import ReferenceTeacher
+from repro.quickcheck.gen import Gen, capl_precise_programs
+from repro.quickcheck.testing import for_all
+from repro.translator.extractor import ModelExtractor
 
 SYMBOLS = (event("send", "reqA"), event("send", "reqB"), event("rec", "rspX"))
 

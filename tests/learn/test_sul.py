@@ -8,13 +8,14 @@ import pytest
 
 from repro.capl import parser as capl_parser
 from repro.capl.interpreter import MessageSpec
-from repro.csp import event
+from repro.csp.events import event
 from repro.csp.kernel import CompactLTS
-from repro.learn import CaplSimulatorSUL, LearnError, LtsSUL, derive_message_specs
-from repro.ota import build_session_system
+from repro.learn.sul import CaplSimulatorSUL, LearnError, LtsSUL, derive_message_specs
 from repro.ota.capl_sources import ECU_SOURCE
 from repro.ota.messages import CAN_MESSAGE_SPECS
-from repro.testgen import run_suite, transition_cover
+from repro.ota.models import build_session_system
+from repro.testgen.conformance import run_suite
+from repro.testgen.generator import transition_cover
 
 PING = """\
 variables {

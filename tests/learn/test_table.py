@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.csp import event
+from repro.csp.events import event
 from repro.csp.kernel import CompactLTS
-from repro.learn import LtsSUL, MembershipCache, ObservationTable
+from repro.learn.sul import LtsSUL
+from repro.learn.table import MembershipCache, ObservationTable
 
 A, B = event("send", "reqA"), event("send", "reqB")
 

@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.csp import event
+from repro.csp.events import event
 from repro.csp.kernel import CompactLTS
-from repro.learn import (
-    BoundedTeacher,
-    DivergenceError,
-    LearnError,
-    LtsSUL,
-    MembershipCache,
-    ObservationTable,
-    ReferenceTeacher,
-    learn,
-)
+from repro.learn.learner import learn
+from repro.learn.sul import LearnError, LtsSUL
+from repro.learn.table import MembershipCache, ObservationTable
+from repro.learn.teacher import BoundedTeacher, DivergenceError, ReferenceTeacher
 
 A, B = event("send", "reqA"), event("send", "reqB")
 

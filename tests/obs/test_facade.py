@@ -11,7 +11,7 @@ from repro import api
 from repro.cspm.evaluator import load
 from repro.cspm.prelude import SP02_FLAWED_SCRIPT, SP02_SCRIPT
 from repro.engine.pipeline import VerificationPipeline
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 
 
 def _terms(script):

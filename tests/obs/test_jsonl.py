@@ -5,14 +5,14 @@ import json
 
 import pytest
 
-from repro.obs import (
-    SchemaError,
+from repro.obs.schema import SchemaError, validate_lines
+from repro.obs.trace import (
+    TRACE_FORMAT_VERSION,
     Tracer,
     export_jsonl,
+    iter_records,
     load_jsonl,
-    validate_lines,
 )
-from repro.obs.trace import TRACE_FORMAT_VERSION, iter_records
 from tests.obs.test_trace import FakeClock
 
 

@@ -1,12 +1,12 @@
 """The disabled path: null tracer and null metrics are shared no-ops."""
 
-from repro.obs import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 from repro.obs.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_METRICS,
 )
+from repro.obs.trace import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 
 
 class TestNullTracer:

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.obs import Tracer, aggregate_spans, overall_profile, profile_of
-from repro.obs.profile import OTHER_STAGE, STAGE_ORDER
+from repro.obs.profile import (
+    OTHER_STAGE,
+    STAGE_ORDER,
+    aggregate_spans,
+    overall_profile,
+    profile_of,
+)
+from repro.obs.trace import Tracer
 from tests.obs.test_trace import FakeClock
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs import Tracer
 from repro.obs.metrics import Metrics
+from repro.obs.trace import Tracer
 
 
 class FakeClock:

@@ -1,7 +1,9 @@
 """Tests for the extended server-to-ECU scope (paper Sec. VIII-A)."""
 
-from repro.csp import Alphabet, Hiding, compile_lts, event
 from repro import api
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import Hiding
 from repro.ota.extended import build_extended_system
 from repro.security.properties import precedes, request_response
 

@@ -1,6 +1,6 @@
 """Unit tests for the Table II message set."""
 
-from repro.ota import (
+from repro.ota.messages import (
     BASIC_MESSAGES,
     CAN_MESSAGE_SPECS,
     EXTENDED_MESSAGES,

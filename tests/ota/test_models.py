@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.csp import compile_lts, event
 from repro import api
-from repro.ota import (
+from repro.csp.events import event
+from repro.csp.lts import compile_lts
+from repro.ota.models import (
     build_paper_system,
     build_secured_system,
     build_session_system,
@@ -39,7 +40,7 @@ class TestPaperSystem:
         assert lts.walk([req, req]) is None
 
     def test_custom_environment_reused(self):
-        from repro.csp import Environment
+        from repro.csp.process import Environment
 
         env = Environment()
         system = build_paper_system(env)

@@ -1,13 +1,13 @@
 """Tests for counterexample replay on the simulated bus."""
 
-from repro.csp import event
-from repro.ota import run_workflow
+from repro.csp.events import event
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.replay import (
     find_witness,
     replay_insecure_trace,
     split_counterexample,
 )
+from repro.ota.scenario import run_workflow
 
 
 class TestSplit:

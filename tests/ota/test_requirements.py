@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.ota import (
+from repro.ota.models import build_secured_system
+from repro.ota.requirements import (
     TABLE_III,
-    build_secured_system,
     check_all,
     check_requirement,
     injective_agreement_check,

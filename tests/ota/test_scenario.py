@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.ota import extract_system, run_workflow, simulate_network
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE
+from repro.ota.scenario import extract_system, run_workflow, simulate_network
 
 
 class TestSimulation:
@@ -57,9 +57,10 @@ class TestExtendedVmgSource:
     def test_extended_vmg_parses_and_extracts(self):
         """The Sec. VIII-A extended VMG source is both runnable and
         translatable (server-side message types included)."""
-        from repro.capl import parse
-        from repro.translator import ChannelConvention, ExtractorConfig, ModelExtractor
+        from repro.capl.parser import parse
         from repro.ota.capl_sources import VMG_EXTENDED_SOURCE
+        from repro.translator.extractor import ExtractorConfig, ModelExtractor
+        from repro.translator.rules import ChannelConvention
 
         program = parse(VMG_EXTENDED_SOURCE)
         selectors = {p.selector for p in program.message_handlers()}

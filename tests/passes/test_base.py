@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.csp import SKIP, STOP, Prefix, compile_lts, event
-from repro.csp.events import TAU_ID, AlphabetTable
+from repro.csp.events import AlphabetTable, TAU_ID, event
 from repro.csp.kernel import CompactLTS
-from repro.passes import (
-    DEFAULT_PASS_NAMES,
-    PASSES,
+from repro.csp.lts import compile_lts
+from repro.csp.process import Prefix, SKIP, STOP
+from repro.engine.plan import DEFAULT_PASS_NAMES, PASSES, resolve_passes
+from repro.passes.base import (
     StateProvenance,
     apply_passes,
     bfs_renumber,
     passes_for_model,
-    resolve_passes,
     terminated_states,
 )
 

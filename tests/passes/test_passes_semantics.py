@@ -7,27 +7,25 @@ state -- deterministically.
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
-    ExternalChoice,
+from repro.csp.events import Alphabet, TAU_ID, event
+from repro.csp.lts import compile_lts, reachable_visible_traces
+from repro.csp.process import (
     Environment,
+    ExternalChoice,
     Hiding,
     InternalChoice,
     Prefix,
     SKIP,
     STOP,
-    compile_lts,
-    event,
     prefix,
-    reachable_visible_traces,
     ref,
 )
-from repro.csp.events import TAU_ID
 from repro.fdr.refine import (
     check_deadlock_free,
     check_divergence_free,
 )
-from repro.passes import PASSES, terminated_states
+from repro.engine.plan import PASSES
+from repro.passes.base import terminated_states
 
 A, B, C = event("a"), event("b"), event("c")
 

@@ -1,18 +1,18 @@
 """The compilation plan: decomposition, caching, gating, degradation."""
 
-from repro.csp import (
-    Alphabet,
+from repro.csp.events import Alphabet, event
+from repro.csp.process import (
     CompiledProcess,
     Environment,
     GenParallel,
     Hiding,
     Prefix,
     STOP,
-    event,
     prefix,
     ref,
 )
-from repro.engine import CompilationCache, VerificationPipeline
+from repro.engine.cache import CompilationCache
+from repro.engine.pipeline import VerificationPipeline
 
 A, B = event("a"), event("b")
 

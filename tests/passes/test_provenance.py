@@ -7,7 +7,7 @@ provenance names the original component states the violation occurred in.
 
 import pytest
 
-from repro.engine import VerificationPipeline
+from repro.engine.pipeline import VerificationPipeline
 from repro.ota.models import (
     build_paper_system,
     build_secured_system,

@@ -10,8 +10,9 @@ persist it as a replayable corpus file -- all within a small, fixed budget.
 """
 
 import repro.translator.extractor as extractor_module
-from repro.quickcheck import ORACLES, get_oracles, load_case, run_campaign
-from repro.quickcheck.corpus import corpus_files
+from repro.quickcheck.corpus import corpus_files, load_case
+from repro.quickcheck.oracles import ORACLES, get_oracles
+from repro.quickcheck.runner import run_campaign
 
 #: Seed/budget pinned so the injected bug is found deterministically (the
 #: first failing case index is 14 for this seed).

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.quickcheck import write_case
 from repro.quickcheck.cli import build_parser, main
+from repro.quickcheck.corpus import write_case
 
 
 def test_default_arguments_match_the_documented_invocation():

@@ -4,10 +4,11 @@ import random
 
 from repro.csp.events import Alphabet, event
 from repro.csp.process import Hiding, Interrupt, Process
-from repro.quickcheck import (
+from repro.quickcheck.gen import (
     CAPL_REQUESTS,
     CaplProgram,
     DEFAULT_EVENTS,
+    Gen,
     capl_cases,
     capl_programs,
     frequency,
@@ -20,7 +21,6 @@ from repro.quickcheck import (
     sub_alphabets,
     subsets,
     tuples,
-    Gen,
 )
 
 

@@ -12,8 +12,9 @@ minimal program, and persist a replayable corpus case.
 """
 
 import repro.translator.extractor as extractor_module
-from repro.quickcheck import ORACLES, get_oracles, load_case, run_campaign
-from repro.quickcheck.corpus import corpus_files
+from repro.quickcheck.corpus import corpus_files, load_case
+from repro.quickcheck.oracles import ORACLES, get_oracles
+from repro.quickcheck.runner import run_campaign
 
 #: Seed/budget pinned so the injected bug is found deterministically well
 #: within the budget (three failures for this seed).

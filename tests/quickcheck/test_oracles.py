@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from repro.csp.process import STOP, Prefix
 from repro.csp.events import event
-from repro.quickcheck import (
-    CaplProgram,
+from repro.csp.process import STOP, Prefix
+from repro.quickcheck.gen import CaplProgram
+from repro.quickcheck.oracles import (
     Discard,
     ORACLES,
     OracleViolation,
+    check_extractor,
+    check_laws,
     get_oracles,
 )
-from repro.quickcheck.oracles import check_extractor, check_laws
 
 EXPECTED_ORACLES = {
     "laws",

@@ -4,16 +4,10 @@ import random
 
 import pytest
 
-from repro.quickcheck import (
-    Gen,
-    Oracle,
-    OracleViolation,
-    derive_seed,
-    integers,
-    load_case,
-    run_campaign,
-)
-from repro.quickcheck.corpus import corpus_files
+from repro.quickcheck.corpus import corpus_files, load_case
+from repro.quickcheck.gen import Gen, integers
+from repro.quickcheck.oracles import Oracle, OracleViolation
+from repro.quickcheck.runner import derive_seed, run_campaign
 
 
 def make_oracle(name, check, generator=None):
@@ -121,7 +115,7 @@ def test_campaign_requires_oracles():
 
 
 def test_real_oracles_run_green_on_a_small_budget(repro_seed):
-    from repro.quickcheck import get_oracles
+    from repro.quickcheck.oracles import get_oracles
 
     report = run_campaign(get_oracles("laws,semantics"), seed=repro_seed, budget=20)
     assert report.ok, report.summary()

@@ -7,18 +7,15 @@ import pytest
 
 from repro.csp.events import Alphabet, Event, event
 from repro.csp.process import Prefix, ProcessRef, Renaming, SKIP, STOP
-from repro.quickcheck import (
-    capl_cases,
-    decode_value,
-    encode_value,
-    process_terms,
-)
+from repro.quickcheck.gen import capl_cases, process_terms
 from repro.quickcheck.serialise import (
     CorpusEncodingError,
     decode_capl,
     decode_process,
+    decode_value,
     encode_capl,
     encode_process,
+    encode_value,
 )
 
 
@@ -78,7 +75,7 @@ def test_renaming_and_ref_roundtrip():
 
 
 def test_capl_encoding_covers_every_statement_tag():
-    from repro.quickcheck import CaplProgram
+    from repro.quickcheck.gen import CaplProgram
 
     program = CaplProgram(
         [

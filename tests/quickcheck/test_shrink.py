@@ -9,8 +9,8 @@ reviewable change -- update the pin consciously.
 
 import random
 
-from repro.csp import compile_lts, denotational_traces, event
-from repro.csp.events import Alphabet
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
 from repro.csp.process import (
     GenParallel,
     Hiding,
@@ -20,16 +20,15 @@ from repro.csp.process import (
     STOP,
     SeqComp,
 )
-from repro.fdr import check_trace_refinement
-from repro.quickcheck import (
+from repro.csp.traces import denotational_traces
+from repro.fdr.refine import check_trace_refinement
+from repro.quickcheck.gen import (
     CaplProgram,
     capl_programs,
-    is_locally_minimal,
     process_pairs,
     process_terms,
-    shrink,
-    shrink_candidates,
 )
+from repro.quickcheck.shrink import is_locally_minimal, shrink, shrink_candidates
 
 A, B = event("a"), event("b")
 

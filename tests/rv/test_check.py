@@ -3,8 +3,9 @@
 import pytest
 
 from repro import api
-from repro.csp import Environment, Event, Prefix, STOP, ref
-from repro.fdr import normalise
+from repro.csp.events import Event
+from repro.csp.process import Environment, Prefix, STOP, ref
+from repro.fdr.normalise import normalise
 from repro.rv.check import (
     CONTEXT_WINDOW,
     TraceChecker,

@@ -5,8 +5,8 @@ import pathlib
 
 import pytest
 
-from repro.csp import Environment
-from repro.rv import check_trace_membership
+from repro.csp.process import Environment
+from repro.rv.check import check_trace_membership
 from repro.rv.fleetgen import (
     FAULTS,
     generate_fleet,

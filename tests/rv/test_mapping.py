@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.csp import Event
+from repro.csp.events import Event
 from repro.rv.ingest import LogRecord
 from repro.rv.mapping import EventMapping, UnknownFrameError
 from repro.rv.specs import ota_database

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.batch.spec import CheckSpec, ManifestError
 from repro.batch.executor import run_batch
-from repro.csp import Environment, Event, Prefix, STOP, ref
+from repro.batch.spec import CheckSpec, ManifestError
+from repro.csp.events import Event
+from repro.csp.process import Environment, Prefix, STOP, ref
 from repro.exec.resultcache import ResultCache
 from repro.exec.runtime import execute_cached, execute_spec
 from repro.obs.metrics import Metrics

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.csp import Environment, Prefix, STOP, event, ref
-from repro.security import (
+from repro.csp.events import event
+from repro.csp.process import Environment, Prefix, STOP, ref
+from repro.security.attack_tree import (
     action,
     any_of,
     attack_cost,

@@ -8,21 +8,13 @@ traces of the generated process on random trees.
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
-    Environment,
-    GenParallel,
-    Prefix,
-    SKIP,
-    STOP,
-    TICK,
-    compile_lts,
-    denotational_traces,
-    event,
-    prefix,
-    ref,
-)
-from repro.security import (
+from repro.csp.events import Alphabet, TICK, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import Environment, GenParallel, Prefix, SKIP, STOP, prefix, ref
+from repro.csp.traces import denotational_traces
+from repro.quickcheck.gen import Gen
+from repro.quickcheck.testing import for_all
+from repro.security.attack_tree import (
     ActionNode,
     AndNode,
     OrNode,
@@ -33,7 +25,6 @@ from repro.security import (
     feasible_attacks,
     sequence_of,
 )
-from repro.quickcheck import Gen, for_all
 
 A, B, C, D = (event(x) for x in "abcd")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.security import (
+from repro.security.crypto import (
     can_forge,
     deductive_closure,
     enc,

@@ -2,21 +2,23 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
-    Channel,
+from repro import api
+from repro.csp.events import Alphabet, Channel, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import (
     Environment,
     GenParallel,
     Prefix,
     ProcessRef,
     STOP,
-    compile_lts,
-    event,
     prefix,
     ref,
 )
-from repro import api
-from repro.security import IntruderBuilder, knowledge_lattice_size, replay_attacker
+from repro.security.intruder import (
+    IntruderBuilder,
+    knowledge_lattice_size,
+    replay_attacker,
+)
 from repro.security.properties import never_occurs, run_process
 
 
@@ -93,7 +95,7 @@ class TestComposition:
                 branches.append(
                     Prefix(channel(payload), Prefix(boom(payload), ref("VICTIM")))
                 )
-        from repro.csp import external_choice
+        from repro.csp.process import external_choice
 
         env.bind("VICTIM", external_choice(*branches))
         builder = IntruderBuilder([net], [fake], ["m1", "m2"], ["m2"])

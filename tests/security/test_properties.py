@@ -2,19 +2,11 @@
 
 import pytest
 
-from repro.csp import (
-    Alphabet,
-    Environment,
-    Prefix,
-    STOP,
-    compile_lts,
-    event,
-    prefix,
-    ref,
-    sequence,
-)
 from repro import api
-from repro.security import (
+from repro.csp.events import Alphabet, event
+from repro.csp.lts import compile_lts
+from repro.csp.process import Environment, Prefix, STOP, prefix, ref, sequence
+from repro.security.properties import (
     alternates,
     bounded_outstanding,
     never_occurs,

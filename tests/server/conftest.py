@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.server import VerificationServer
+from repro.server.core import VerificationServer
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ import sys
 
 import pytest
 
-from repro.batch import CheckSpec, dump_manifest
 from repro.batch.cli import main as cspbatch_main
+from repro.batch.spec import CheckSpec, dump_manifest
 from repro.cli_common import (
     EXIT_OK,
     EXIT_USAGE,

@@ -4,11 +4,11 @@ import threading
 
 import pytest
 
-from repro.batch import CheckSpec
+from repro.batch.spec import CheckSpec
 from repro.csp.events import Event
 from repro.csp.process import Prefix, Stop
 from repro.exec.runtime import execute_spec
-from repro.server import VerificationServer
+from repro.server.core import VerificationServer
 from repro.server.protocol import (
     BAD_REQUEST,
     DRAINING,

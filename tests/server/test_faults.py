@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.batch import CheckSpec
+from repro.batch.spec import CheckSpec
 from repro.csp.events import Event
 from repro.csp.process import Prefix, Stop
 from repro.exec.runtime import execute_spec

@@ -6,7 +6,7 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.batch import CheckSpec, manifest_document
+from repro.batch.spec import CheckSpec, manifest_document
 from repro.csp.events import Event
 from repro.csp.process import Prefix, Stop
 from repro.exec.runtime import execute_spec

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.batch import CheckSpec
+from repro.batch.spec import CheckSpec
 from repro.exec.keys import strip_label, structural_key
 from repro.server.protocol import (
     BAD_REQUEST,

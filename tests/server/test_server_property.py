@@ -16,11 +16,12 @@ import random
 
 import pytest
 
-from repro.batch import CheckSpec
-from repro.csp import event
+from repro.batch.spec import CheckSpec
+from repro.csp.events import event
 from repro.exec.runtime import execute_spec
-from repro.quickcheck import for_all, process_terms, sampled_from, tuples
-from repro.server import VerificationServer
+from repro.quickcheck.gen import process_terms, sampled_from, tuples
+from repro.quickcheck.testing import for_all
+from repro.server.core import VerificationServer
 from repro.server.protocol import QUOTA, Rejection
 
 EVENTS = (event("a"), event("b"))

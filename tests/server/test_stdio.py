@@ -3,9 +3,9 @@
 import io
 import json
 
-from repro.batch import CheckSpec
-from repro.server import serve_stdio
+from repro.batch.spec import CheckSpec
 from repro.server.protocol import check_request
+from repro.server.stdio import serve_stdio
 
 
 def selftest(op, check_id, **options):

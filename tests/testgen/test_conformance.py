@@ -1,9 +1,10 @@
 """Conformance testing: model-derived suites against CAPL implementations."""
 
-from repro.ota import build_session_system
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE
 from repro.ota.messages import CAN_MESSAGE_SPECS
-from repro.testgen import coverage_of, run_suite, run_test, transition_cover
+from repro.ota.models import build_session_system
+from repro.testgen.conformance import run_suite, run_test
+from repro.testgen.generator import coverage_of, transition_cover
 
 
 def session_suite():
@@ -48,7 +49,8 @@ class TestGeneratedSuite:
 
 class TestSingleTest:
     def test_stimuli_extraction_ignores_responses(self):
-        from repro.csp import Event, compile_lts
+        from repro.csp.events import Event
+        from repro.csp.lts import compile_lts
 
         session, _tests, spec = session_suite()
         spec_lts = compile_lts(spec, session.env)
@@ -64,7 +66,8 @@ class TestSingleTest:
 
     def test_unsolicited_behaviour_detected(self):
         """An ECU that volunteers frames beyond the spec fails conformance."""
-        from repro.csp import Event, compile_lts
+        from repro.csp.events import Event
+        from repro.csp.lts import compile_lts
 
         chatty = """
         variables { message rptSw a; message rptUpd b; }

@@ -2,19 +2,24 @@
 
 import pytest
 
-from repro.csp import (
+from repro.csp.events import event
+from repro.csp.lts import compile_lts
+from repro.csp.process import (
     Environment,
     ExternalChoice,
     InternalChoice,
     Prefix,
     STOP,
-    compile_lts,
-    event,
     ref,
     sequence,
 )
-from repro.fdr import normalise
-from repro.testgen import bounded_traces, coverage_of, state_cover, transition_cover
+from repro.fdr.normalise import normalise
+from repro.testgen.generator import (
+    bounded_traces,
+    coverage_of,
+    state_cover,
+    transition_cover,
+)
 
 A, B, C = event("a"), event("b"), event("c")
 

@@ -12,10 +12,13 @@ where rspX (0x301) out-arbitrates rspY (0x302), so the bus shows
 rspX rspX rspY while the program order is rspX rspY rspX.
 """
 
-from repro.canbus import CanBus, CanFrame, Scheduler
-from repro.capl import CaplNode, MessageSpec
-from repro.csp import Event, compile_lts
-from repro.translator import ModelExtractor
+from repro.canbus.bus import CanBus
+from repro.canbus.frame import CanFrame
+from repro.canbus.scheduler import Scheduler
+from repro.capl.interpreter import CaplNode, MessageSpec
+from repro.csp.events import Event
+from repro.csp.lts import compile_lts
+from repro.translator.extractor import ModelExtractor
 from repro.translator.rules import (
     Act,
     Choice,

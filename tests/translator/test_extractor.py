@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.csp import event
-from repro.csp.lts import compile_lts
 from repro import api
-from repro.translator import (
-    ChannelConvention,
-    ExtractorConfig,
-    ModelExtractor,
-    TranslationError,
-)
-from repro.translator.cli import main as capl2cspm_main
+from repro.csp.events import event
+from repro.csp.lts import compile_lts
 from repro.ota.capl_sources import ECU_SOURCE, VMG_SOURCE
+from repro.translator.cli import main as capl2cspm_main
+from repro.translator.extractor import ExtractorConfig, ModelExtractor
+from repro.translator.rules import ChannelConvention, TranslationError
 
 SIMPLE_ECU = """
 variables

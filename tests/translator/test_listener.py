@@ -1,7 +1,8 @@
 """Unit tests for the ANTLR-style listener walk."""
 
-from repro.capl import ast, parse
-from repro.translator import CaplListener, walk
+from repro.capl import ast_nodes as ast
+from repro.capl.parser import parse
+from repro.translator.listener import CaplListener, walk
 
 SOURCE = """
 includes

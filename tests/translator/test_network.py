@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.csp import event
+from repro.csp.events import event
 from repro.csp.lts import compile_lts
-from repro.translator import ChannelConvention, NetworkBuilder
 from repro.ota.capl_sources import ECU_FLAWED_SOURCE, ECU_SOURCE, VMG_SOURCE
+from repro.translator.network import NetworkBuilder
+from repro.translator.rules import ChannelConvention
 
 SIMPLE_ECU = """
 variables { message rptSw m; message rptUpd u; }

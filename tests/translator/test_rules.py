@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.capl import parse
-from repro.translator import (
+from repro.capl.parser import parse
+from repro.translator.rules import (
     Act,
     BehaviourBuilder,
     CancelTimer,

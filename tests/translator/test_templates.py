@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.translator import CSPM_TEMPLATES, Template, TemplateError, TemplateGroup
+from repro.translator.templates import (
+    CSPM_TEMPLATES,
+    Template,
+    TemplateError,
+    TemplateGroup,
+)
 
 
 class TestTemplate:
